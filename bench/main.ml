@@ -1798,6 +1798,22 @@ type opts = {
   o_args : string list;
 }
 
+(* a numeric flag value, or exit 2 naming the flag *)
+let int_arg ?(min = min_int) flag n =
+  match int_of_string_opt n with
+  | Some k when k >= min -> k
+  | _ ->
+    if min = min_int then Format.eprintf "%s expects an integer, got %S@." flag n
+    else Format.eprintf "%s expects an integer >= %d, got %S@." flag min n;
+    exit 2
+
+let float_arg flag s =
+  match float_of_string_opt s with
+  | Some x when Float.is_finite x -> x
+  | _ ->
+    Format.eprintf "%s expects a finite number, got %S@." flag s;
+    exit 2
+
 let parse_jobs args =
   let jobs = ref (default_jobs ()) in
   let sim_jobs = ref (Ppat_kernel.Interp.default_jobs ()) in
@@ -1810,19 +1826,20 @@ let parse_jobs args =
   let l2_validate = ref false in
   let rec go acc = function
     | "-j" :: n :: rest ->
-      jobs := int_of_string n;
+      jobs := int_arg ~min:1 "-j" n;
       go acc rest
     | "--sim-jobs" :: n :: rest ->
-      sim_jobs := max 1 (min (int_of_string n) Ppat_parallel.max_jobs);
+      sim_jobs :=
+        max 1 (min (int_arg "--sim-jobs" n) Ppat_parallel.max_jobs);
       go acc rest
     | "--best-of" :: n :: rest ->
-      best_of := max 1 (int_of_string n);
+      best_of := int_arg ~min:1 "--best-of" n;
       go acc rest
     | "--serve" :: n :: rest ->
-      serve := Some (max 1 (int_of_string n));
+      serve := Some (max 1 (int_arg "--serve" n));
       go acc rest
     | "--zipf" :: s :: rest ->
-      zipf := float_of_string s;
+      zipf := float_arg "--zipf" s;
       go acc rest
     | "--no-cache" :: rest ->
       no_cache := true;

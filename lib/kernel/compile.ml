@@ -5,8 +5,8 @@
    string lookup inside the innermost loop. Following the staged-evaluation
    idea of LMS — the machinery behind the paper's own Delite stack — this
    module removes that interpretive overhead by *staging the interpreter*:
-   each kernel is translated once per launch into a tree of OCaml closures
-   over unboxed lane state. At compile time we
+   each kernel is translated once per launch into node-major closures over
+   unboxed lane state. At compile time we
 
    - infer one static type (int / float / bool) per virtual register and
      split the register file into an unboxed [int array] / [float array];
@@ -22,17 +22,18 @@
    same counter updates in the same order, and both price memory accesses
    through the shared [Warp_access] scratch. Anything the static analysis
    cannot prove faithful — mixed-type arithmetic, possibly-undefined
-   register reads, unbound names — makes [compile] return [Error], and the
-   driver falls back to the reference tree-walker, which reproduces the
-   exact dynamic trap semantics. *)
+   register reads, unbound names — makes [compile] trap with "cannot
+   stage"; the reference engine stays available as the oracle that
+   reproduces the dynamic trap semantics. *)
 
 open Ppat_gpu
 
 let trap = Simt_error.trap
 
-exception Fallback of string
+(* a kernel the static analysis cannot stage faithfully *)
+exception Rejected of string
 
-let fallback fmt = Format.kasprintf (fun s -> raise (Fallback s)) fmt
+let reject fmt = Format.kasprintf (fun s -> raise (Rejected s)) fmt
 
 let max_loop_iters = 1 lsl 24
 
@@ -52,22 +53,10 @@ type ctx = {
   mutable bidy : int;
   mutable bidz : int;
   exists_mask : int;  (* lanes backed by a real thread *)
-  mutable cmask : int;
-      (* active mask of the warp statement currently evaluating, written
-         only at evaluation points whose expression statically contains a
-         warp shuffle/vote; those closures compare it against
-         [exists_mask] to enforce convergence *)
   attr_on : bool;
       (* site attribution enabled for this run. Checked inline in the
          divergence hot path so unattributed runs pay one load+branch,
          not a cross-module call, per divergent branch. *)
-  facc : float array;
-      (* one-element float-expression result slot. A flat float array is
-         the only unboxed mutable float cell available in a mixed record
-         (a [mutable float] field here would re-box on every store), and
-         passing results through it instead of returning them avoids the
-         box that every (non-inlined) float-returning closure call would
-         otherwise allocate *)
   acc : Warp_access.t;
   stats : Stats.t;
   sf : float array array;  (* shared float arrays of the block, by slot *)
@@ -84,13 +73,6 @@ type ctx = {
   vf_const : float array;
 }
 
-type iexp = ctx -> int -> int
-
-type fexp = ctx -> int -> unit
-(* leaves its result in [(Array.unsafe_get ctx.facc 0)]; see the field comment *)
-
-type bexp = ctx -> int -> bool
-type texp = I of iexp | F of fexp | B of bexp
 type cstmt = ctx -> int -> unit
 
 (* Operand of a node-major vector node: one row of [warp_size] lanes.
@@ -104,9 +86,9 @@ type vtexp = VI of visrc | VF of vfsrc | VB of visrc
 
 type vnode = ctx -> int -> unit
 
-(* a statement the vector engine declines (aliasing store, unsupported
-   form); the already-compiled scalar statement is used instead *)
-exception Unvectorizable
+(* the array a statement writes when it also loads it: a store, or an
+   atomic, whose operands read the written buffer *)
+type alias = No_alias | Alias_g of string | Alias_s of string
 
 (* per-launch vector-compilation state: constant rows are deduplicated
    across the whole kernel, temp-slab sizing is the max over statements *)
@@ -125,7 +107,15 @@ type vglobal = {
 type vstate = {
   vg : vglobal;
   vws : int;
-  mutable rev_nodes : vnode list;  (* emission order, reversed *)
+  alias : alias;
+  mutable rev_nodes : vnode list;
+      (* emission order, reversed: nodes that read no aliased load *)
+  mutable rev_post : vnode list;
+      (* nodes that depend on an aliased load, and the write itself *)
+  mutable alias_rows : visrc list;  (* index rows of the aliased loads *)
+  mutable alias_dep : bool;
+      (* the write's index, or an aliased load's index, itself loads the
+         written buffer *)
   mutable ni : int;  (* temp slots allocated so far *)
   mutable nf : int;
   mutable rev_kinds : Warp_access.kind list;  (* memory slots, reversed *)
@@ -221,7 +211,7 @@ let rec shfl_nodes (e : Kir.exp) =
    Fixpoint over all assignments: a register's type is the type of every
    expression assigned to it; conflicts (or arithmetic the reference
    engine would trap on) abort compilation. Optimistic propagation is safe
-   because compile_exp re-checks every operand strictly afterwards. *)
+   because stage_exp re-checks every operand strictly afterwards. *)
 
 let buf_ty (e : Memory.entry) =
   match e.Memory.data with Ppat_ir.Host.F _ -> TF | Ppat_ir.Host.I _ -> TI
@@ -231,20 +221,20 @@ let smem_ty (d : Kir.smem_decl) =
 
 let find_entry env name =
   if Memory.mem env.mem name then Memory.find env.mem name
-  else fallback "unbound buffer %S" name
+  else reject "unbound buffer %S" name
 
 let infer_types env =
   let rt : ty option array = Array.make env.k.Kir.nregs None in
   let changed = ref true in
   let entry_ty name =
     if Memory.mem env.mem name then Some (buf_ty (Memory.find env.mem name))
-    else fallback "unbound buffer %S" name
+    else reject "unbound buffer %S" name
   in
   let sdecl_ty name =
     match List.assoc_opt name env.smem_env with
     | Some (Sf _) -> Some TF
     | Some (Si _) -> Some TI
-    | None -> fallback "undeclared shared array %S" name
+    | None -> reject "undeclared shared array %S" name
   in
   let rec ety (e : Kir.exp) : ty option =
     match e with
@@ -255,58 +245,58 @@ let infer_types env =
     | Tid _ | Bid _ | Bdim _ | Gdim _ | Param _ -> Some TI
     | Bin ((Add | Sub | Mul | Div | Min | Max), a, b) -> (
       match (ety a, ety b) with
-      | Some TB, _ | _, Some TB -> fallback "boolean arithmetic"
-      | Some ta, Some tb when ta <> tb -> fallback "mixed-type arithmetic"
+      | Some TB, _ | _, Some TB -> reject "boolean arithmetic"
+      | Some ta, Some tb when ta <> tb -> reject "mixed-type arithmetic"
       | Some ta, _ -> Some ta
       | None, tb -> tb)
     | Bin (Mod, a, b) -> (
       match (ety a, ety b) with
       | (Some TF | Some TB), _ | _, (Some TF | Some TB) ->
-        fallback "mod on non-integers"
+        reject "mod on non-integers"
       | _ -> Some TI)
     | Bin ((And | Or), a, b) -> (
       match (ety a, ety b) with
       | (Some TI | Some TF), _ | _, (Some TI | Some TF) ->
-        fallback "logical op on non-booleans"
+        reject "logical op on non-booleans"
       | _ -> Some TB)
     | Cmp (_, a, b) -> (
       match (ety a, ety b) with
-      | Some ta, Some tb when ta <> tb -> fallback "mixed-type comparison"
+      | Some ta, Some tb when ta <> tb -> reject "mixed-type comparison"
       | _ -> Some TB)
     | Un (Neg, a) -> (
       match ety a with
-      | Some TB -> fallback "negation of a boolean"
+      | Some TB -> reject "negation of a boolean"
       | t -> t)
     | Un (Not, a) -> (
       match ety a with
-      | Some (TI | TF) -> fallback "not of a non-boolean"
+      | Some (TI | TF) -> reject "not of a non-boolean"
       | _ -> Some TB)
     | Un ((Sqrt | Exp_ | Log_), a) -> (
       match ety a with
-      | Some (TI | TB) -> fallback "float unop on non-float"
+      | Some (TI | TB) -> reject "float unop on non-float"
       | _ -> Some TF)
     | Un (Abs, a) -> (
       match ety a with
-      | Some TB -> fallback "abs of a boolean"
+      | Some TB -> reject "abs of a boolean"
       | t -> t)
     | Un (I2f, a) -> (
       match ety a with
-      | Some (TF | TB) -> fallback "i2f of a non-integer"
+      | Some (TF | TB) -> reject "i2f of a non-integer"
       | _ -> Some TF)
     | Un (F2i, a) -> (
       match ety a with
-      | Some (TI | TB) -> fallback "f2i of a non-float"
+      | Some (TI | TB) -> reject "f2i of a non-float"
       | _ -> Some TI)
     | Select (_, a, b) -> (
       match (ety a, ety b) with
-      | Some ta, Some tb when ta <> tb -> fallback "mixed-type select"
+      | Some ta, Some tb when ta <> tb -> reject "mixed-type select"
       | Some ta, _ -> Some ta
       | None, tb -> tb)
     | Load_g (name, _) -> entry_ty name
     | Load_s (name, _) -> sdecl_ty name
     | Shfl_down (v, _) | Shfl_xor (v, _) | Shfl_idx (v, _) ->
       (* the shuffled value keeps its type; the lane selector is checked
-         strictly by compile_exp *)
+         strictly by stage_exp *)
       ety v
     | Ballot _ -> Some TI
     | Any _ | All _ -> Some TB
@@ -316,7 +306,7 @@ let infer_types env =
     | None ->
       rt.(r) <- Some t;
       changed := true
-    | Some t' -> if t <> t' then fallback "register assigned two types"
+    | Some t' -> if t <> t' then reject "register assigned two types"
   in
   let rec stmt (s : Kir.stmt) =
     match s with
@@ -386,76 +376,8 @@ let infer_types env =
     | Kir.Sync | Kir.Malloc_event -> ()
   in
   List.iter stmt_reads env.k.Kir.body;
-  if !reads_untyped then fallback "register with no inferable type";
+  if !reads_untyped then reject "register with no inferable type";
   Array.map (function Some t -> t | None -> TI) rt
-
-(* ----- definite assignment -----
-
-   The reference engine traps dynamically on reads of undefined registers.
-   The compiled engine has no [VU]; instead we prove statically that no
-   read can precede every assignment on some path, and fall back to the
-   reference engine otherwise (which then reproduces the exact trap). *)
-
-module IS = Set.Make (Int)
-
-let check_definite_assignment (k : Kir.kernel) =
-  let rec reads d (e : Kir.exp) =
-    match e with
-    | Kir.Reg r ->
-      if not (IS.mem r d) then fallback "possibly-undefined register read"
-    | Int _ | Float _ | Bool _ | Tid _ | Bid _ | Bdim _ | Gdim _ | Param _ ->
-      ()
-    | Bin (_, a, b) | Cmp (_, a, b) ->
-      reads d a;
-      reads d b
-    | Un (_, a) -> reads d a
-    | Select (c, a, b) ->
-      reads d c;
-      reads d a;
-      reads d b
-    | Load_g (_, i) | Load_s (_, i) -> reads d i
-    | Shfl_down (v, l) | Shfl_xor (v, l) | Shfl_idx (v, l) ->
-      (* a shuffle reads its value operand at *another* lane; registers in
-         it must therefore be assigned on every path (convergence — which
-         both engines enforce dynamically — then guarantees every lane has
-         executed those assignments) *)
-      reads d v;
-      reads d l
-    | Ballot p | Any p | All p -> reads d p
-  in
-  let rec stmt d (s : Kir.stmt) =
-    match s with
-    | Kir.Set (r, e) ->
-      reads d e;
-      IS.add r d
-    | Kir.Store_g (_, i, v) | Kir.Store_s (_, i, v)
-    | Kir.Atomic_add_g (_, i, v) ->
-      reads d i;
-      reads d v;
-      d
-    | Kir.Atomic_add_ret { reg; idx; value; _ } ->
-      reads d idx;
-      reads d value;
-      IS.add reg d
-    | Kir.If (c, t, e) ->
-      reads d c;
-      let dt = stmts d t and de = stmts d e in
-      IS.inter dt de
-    | Kir.For { reg; lo; hi; step; body } ->
-      reads d lo;
-      let d = IS.add reg d in
-      reads d hi;
-      let db = stmts d body in
-      reads db step;
-      (* the body may run zero times: only the counter survives *)
-      d
-    | Kir.While (c, body) ->
-      reads d c;
-      ignore (stmts d body);
-      d
-    | Kir.Sync | Kir.Malloc_event -> d
-  and stmts d l = List.fold_left stmt d l in
-  ignore (stmts IS.empty k.Kir.body)
 
 (* ----- compile-time constant folding -----
 
@@ -478,7 +400,7 @@ let rec cfold env (e : Kir.exp) : cval option =
   | Kir.Param p -> (
     match List.assoc_opt p env.kparams with
     | Some v -> Some (CI v)
-    | None -> fallback "unbound parameter %S" p)
+    | None -> reject "unbound parameter %S" p)
   | Kir.Reg _ | Kir.Tid _ | Kir.Bid _ | Kir.Load_g _ | Kir.Load_s _ -> None
   (* warp primitives are lane-dependent by construction: never folded *)
   | Kir.Shfl_down _ | Kir.Shfl_xor _ | Kir.Shfl_idx _ | Kir.Ballot _
@@ -551,477 +473,102 @@ let rec cfold env (e : Kir.exp) : cval option =
     | Some (CI cv), Some av, Some bv -> Some (if cv <> 0 then av else bv)
     | _ -> None)
 
-(* ----- expression compilation ----- *)
+(* ----- definite assignment -----
 
-let const_texp = function
-  | CI n -> I (fun _ _ -> n)
-  | CF x -> F (fun c _ -> Array.unsafe_set c.facc 0 (x))
-  | CB b -> B (fun _ _ -> b)
+   The reference engine traps dynamically on reads of undefined registers.
+   The compiled engine has no [VU]; instead we prove statically that no
+   read can precede every assignment on some path, and reject the kernel
+   otherwise (the reference engine reproduces the exact dynamic trap).
+   Two refinements keep generated code stageable:
+   - a loop whose bounds fold to constants with lo < hi runs its body at
+     least once on every lane that enters it, so the body's assignments
+     survive the loop;
+   - a branch on a lane-invariant condition (built from thread/block ids
+     and constants) runs on exactly the lanes that took an earlier branch
+     on the same condition in the same or an enclosing statement list, so
+     the earlier branch's assignments are definite inside it (the scan
+     kernels load a neighbour's value under [tid >= off], then use it
+     under the same guard after a barrier). *)
 
-(* the loose coercions of the reference engine's [as_int]/[as_bool] *)
-let as_iexp = function
-  | I f -> f
-  | B f -> fun c l -> if f c l then 1 else 0
-  | F _ -> fallback "expected an integer, got a float"
+module IS = Set.Make (Int)
 
-let as_bexp = function
-  | B f -> f
-  | I f -> fun c l -> f c l <> 0
-  | F _ -> fallback "expected a boolean, got a float"
-
-let as_fexp = function
-  | F f -> f
-  | I _ | B _ -> fallback "expected a float"
-
-let strict_b = function
-  | B f -> f
-  | I _ | F _ -> fallback "logical op on non-boolean"
-
-let strict_i = function
-  | I f -> f
-  | B _ | F _ -> fallback "integer expression expected"
-
-let strict_f = function
-  | F f -> f
-  | B _ | I _ -> fallback "float expression expected"
-
-(* Operand evaluation order is observable through the access recorder
-   (slot order feeds the L2 in sequence), so the closures must replay the
-   reference engine exactly: Bin/Cmp pass both operands as function
-   arguments there, which OCaml evaluates right to left, so the right
-   operand's loads record first; Select and the memory ops use explicit
-   lets and evaluate left to right. *)
-let rec compile_exp env (e : Kir.exp) : texp =
-  match cfold env e with
-  | Some c -> const_texp c
-  | None -> (
+let check_definite_assignment env (k : Kir.kernel) =
+  let rec reads d (e : Kir.exp) =
     match e with
-    | Kir.Int n -> I (fun _ _ -> n)
-    | Kir.Float x -> F (fun c _ -> Array.unsafe_set c.facc 0 (x))
-    | Kir.Bool b -> B (fun _ _ -> b)
-    | Kir.Reg r -> (
-      let base = r * env.ws in
-      match env.rt.(r) with
-      | TI -> I (fun c l -> Array.unsafe_get c.ireg (base + l))
-      | TF -> F (fun c l -> Array.unsafe_set c.facc 0 (Array.unsafe_get c.freg (base + l)))
-      | TB -> B (fun c l -> Array.unsafe_get c.ireg (base + l) <> 0))
-    | Kir.Tid d -> (
-      match d with
-      | Kir.X -> I (fun c l -> Array.unsafe_get c.tidx l)
-      | Kir.Y -> I (fun c l -> Array.unsafe_get c.tidy l)
-      | Kir.Z -> I (fun c l -> Array.unsafe_get c.tidz l))
-    | Kir.Bid d -> (
-      match d with
-      | Kir.X -> I (fun c _ -> c.bidx)
-      | Kir.Y -> I (fun c _ -> c.bidy)
-      | Kir.Z -> I (fun c _ -> c.bidz))
-    | Kir.Bdim _ | Kir.Gdim _ | Kir.Param _ ->
-      (* cfold always resolves these *)
-      assert false
-    | Kir.Bin (op, a, b) -> (
-      let ta = compile_exp env a in
-      let tb = compile_exp env b in
-      let open Ppat_ir.Exp in
-      match op with
-      | And ->
-        let fa = strict_b ta and fb = strict_b tb in
-        B
-          (fun c l ->
-            let y = fb c l in
-            let x = fa c l in
-            x && y)
-      | Or ->
-        let fa = strict_b ta and fb = strict_b tb in
-        B
-          (fun c l ->
-            let y = fb c l in
-            let x = fa c l in
-            x || y)
-      | Add | Sub | Mul | Div | Mod | Min | Max -> (
-        match (ta, tb) with
-        | I fa, I fb ->
-          I
-            (match op with
-             | Add ->
-               fun c l ->
-                 let y = fb c l in
-                 let x = fa c l in
-                 x + y
-             | Sub ->
-               fun c l ->
-                 let y = fb c l in
-                 let x = fa c l in
-                 x - y
-             | Mul ->
-               fun c l ->
-                 let y = fb c l in
-                 let x = fa c l in
-                 x * y
-             | Div ->
-               fun c l ->
-                 let y = fb c l in
-                 let x = fa c l in
-                 if y = 0 then trap "division by zero" else x / y
-             | Mod ->
-               fun c l ->
-                 let y = fb c l in
-                 let x = fa c l in
-                 if y = 0 then trap "modulo by zero" else x mod y
-             | Min ->
-               fun c l ->
-                 let y = fb c l in
-                 let x = fa c l in
-                 if x <= y then x else y
-             | Max ->
-               fun c l ->
-                 let y = fb c l in
-                 let x = fa c l in
-                 if x >= y then x else y
-             | And | Or -> assert false)
-        | F fa, F fb ->
-          (* right operand first, like the reference; its result is saved
-             in an (unboxed) local while the left runs *)
-          F
-            (match op with
-             | Add ->
-               fun c l ->
-                 fb c l;
-                 let y = (Array.unsafe_get c.facc 0) in
-                 fa c l;
-                 Array.unsafe_set c.facc 0 ((Array.unsafe_get c.facc 0) +. y)
-             | Sub ->
-               fun c l ->
-                 fb c l;
-                 let y = (Array.unsafe_get c.facc 0) in
-                 fa c l;
-                 Array.unsafe_set c.facc 0 ((Array.unsafe_get c.facc 0) -. y)
-             | Mul ->
-               fun c l ->
-                 fb c l;
-                 let y = (Array.unsafe_get c.facc 0) in
-                 fa c l;
-                 Array.unsafe_set c.facc 0 ((Array.unsafe_get c.facc 0) *. y)
-             | Div ->
-               fun c l ->
-                 fb c l;
-                 let y = (Array.unsafe_get c.facc 0) in
-                 fa c l;
-                 Array.unsafe_set c.facc 0 ((Array.unsafe_get c.facc 0) /. y)
-             | Min ->
-               fun c l ->
-                 fb c l;
-                 let y = (Array.unsafe_get c.facc 0) in
-                 fa c l;
-                 Array.unsafe_set c.facc 0 (Float.min (Array.unsafe_get c.facc 0) y)
-             | Max ->
-               fun c l ->
-                 fb c l;
-                 let y = (Array.unsafe_get c.facc 0) in
-                 fa c l;
-                 Array.unsafe_set c.facc 0 (Float.max (Array.unsafe_get c.facc 0) y)
-             | Mod | And | Or -> fallback "mod on floats")
-        | _ -> fallback "mixed-type arithmetic"))
-    | Kir.Un (op, a) -> (
-      let ta = compile_exp env a in
-      let open Ppat_ir.Exp in
-      match (op, ta) with
-      | Neg, I f -> I (fun c l -> -f c l)
-      | Neg, F f ->
-        F
-          (fun c l ->
-            f c l;
-            Array.unsafe_set c.facc 0 (-.(Array.unsafe_get c.facc 0)))
-      | Not, B f -> B (fun c l -> not (f c l))
-      | Sqrt, F f ->
-        F
-          (fun c l ->
-            f c l;
-            Array.unsafe_set c.facc 0 (Float.sqrt (Array.unsafe_get c.facc 0)))
-      | Exp_, F f ->
-        F
-          (fun c l ->
-            f c l;
-            Array.unsafe_set c.facc 0 (Float.exp (Array.unsafe_get c.facc 0)))
-      | Log_, F f ->
-        F
-          (fun c l ->
-            f c l;
-            Array.unsafe_set c.facc 0 (Float.log (Array.unsafe_get c.facc 0)))
-      | Abs, F f ->
-        F
-          (fun c l ->
-            f c l;
-            Array.unsafe_set c.facc 0 (Float.abs (Array.unsafe_get c.facc 0)))
-      | Abs, I f -> I (fun c l -> abs (f c l))
-      | I2f, I f -> F (fun c l -> Array.unsafe_set c.facc 0 (float_of_int (f c l)))
-      | F2i, F f ->
-        I
-          (fun c l ->
-            f c l;
-            int_of_float (Array.unsafe_get c.facc 0))
-      | (Neg | Not | Sqrt | Exp_ | Log_ | Abs | I2f | F2i), _ ->
-        fallback "unop operand type mismatch")
-    | Kir.Cmp (op, a, b) -> (
-      let ta = compile_exp env a in
-      let tb = compile_exp env b in
-      let open Ppat_ir.Exp in
-      match (ta, tb) with
-      | I fa, I fb ->
-        B
-          (match op with
-           | Eq ->
-             fun c l ->
-               let y = fb c l in
-               let x = fa c l in
-               x = y
-           | Ne ->
-             fun c l ->
-               let y = fb c l in
-               let x = fa c l in
-               x <> y
-           | Lt ->
-             fun c l ->
-               let y = fb c l in
-               let x = fa c l in
-               x < y
-           | Le ->
-             fun c l ->
-               let y = fb c l in
-               let x = fa c l in
-               x <= y
-           | Gt ->
-             fun c l ->
-               let y = fb c l in
-               let x = fa c l in
-               x > y
-           | Ge ->
-             fun c l ->
-               let y = fb c l in
-               let x = fa c l in
-               x >= y)
-      | F fa, F fb ->
-        (* Float.compare, not IEEE operators: the reference engine's
-           polymorphic compare totally orders NaN, and Eq on two NaNs is
-           true there *)
-        B
-          (match op with
-           | Eq ->
-             fun c l ->
-               fb c l;
-               let y = (Array.unsafe_get c.facc 0) in
-               fa c l;
-               Float.compare (Array.unsafe_get c.facc 0) y = 0
-           | Ne ->
-             fun c l ->
-               fb c l;
-               let y = (Array.unsafe_get c.facc 0) in
-               fa c l;
-               Float.compare (Array.unsafe_get c.facc 0) y <> 0
-           | Lt ->
-             fun c l ->
-               fb c l;
-               let y = (Array.unsafe_get c.facc 0) in
-               fa c l;
-               Float.compare (Array.unsafe_get c.facc 0) y < 0
-           | Le ->
-             fun c l ->
-               fb c l;
-               let y = (Array.unsafe_get c.facc 0) in
-               fa c l;
-               Float.compare (Array.unsafe_get c.facc 0) y <= 0
-           | Gt ->
-             fun c l ->
-               fb c l;
-               let y = (Array.unsafe_get c.facc 0) in
-               fa c l;
-               Float.compare (Array.unsafe_get c.facc 0) y > 0
-           | Ge ->
-             fun c l ->
-               fb c l;
-               let y = (Array.unsafe_get c.facc 0) in
-               fa c l;
-               Float.compare (Array.unsafe_get c.facc 0) y >= 0)
-      | B fa, B fb ->
-        B
-          (fun c l ->
-            let y = fb c l in
-            let x = fa c l in
-            let cv = Bool.compare x y in
-            match op with
-            | Eq -> cv = 0
-            | Ne -> cv <> 0
-            | Lt -> cv < 0
-            | Le -> cv <= 0
-            | Gt -> cv > 0
-            | Ge -> cv >= 0)
-      | _ -> fallback "mixed-type comparison")
-    | Kir.Select (c0, a, b) -> (
-      let fc = as_bexp (compile_exp env c0) in
-      let ta = compile_exp env a in
-      let tb = compile_exp env b in
-      (* both branches always evaluate, like the reference engine *)
-      match (ta, tb) with
-      | I fa, I fb ->
-        I
-          (fun c l ->
-            let cv = fc c l in
-            let av = fa c l in
-            let bv = fb c l in
-            if cv then av else bv)
-      | F fa, F fb ->
-        F
-          (fun c l ->
-            let cv = fc c l in
-            fa c l;
-            let av = (Array.unsafe_get c.facc 0) in
-            fb c l;
-            (* facc currently holds the else-branch value *)
-            if cv then Array.unsafe_set c.facc 0 (av))
-      | B fa, B fb ->
-        B
-          (fun c l ->
-            let cv = fc c l in
-            let av = fa c l in
-            let bv = fb c l in
-            if cv then av else bv)
-      | _ -> fallback "mixed-type select")
-    | Kir.Load_g (name, i) -> (
-      let entry = find_entry env name in
-      let fi = as_iexp (compile_exp env i) in
-      let base = entry.Memory.base and eb = entry.Memory.elem_bytes in
-      match entry.Memory.data with
-      | Ppat_ir.Host.F a ->
-        let len = Array.length a in
-        F
-          (fun c l ->
-            let ix = fi c l in
-            Warp_access.record_global c.acc (base + (ix * eb));
-            if ix < 0 || ix >= len then
-              trap "load out of bounds: %s[%d] (len %d)" name ix len;
-            Array.unsafe_set c.facc 0 (Array.unsafe_get a ix))
-      | Ppat_ir.Host.I a ->
-        let len = Array.length a in
-        I
-          (fun c l ->
-            let ix = fi c l in
-            Warp_access.record_global c.acc (base + (ix * eb));
-            if ix < 0 || ix >= len then
-              trap "load out of bounds: %s[%d] (len %d)" name ix len;
-            Array.unsafe_get a ix))
-    | Kir.Load_s (name, i) -> (
-      let fi = as_iexp (compile_exp env i) in
-      match List.assoc_opt name env.smem_env with
-      | None -> fallback "undeclared shared array %S" name
-      | Some (Sf (slot, len)) ->
-        F
-          (fun c l ->
-            let ix = fi c l in
-            Warp_access.record_shared c.acc ix;
-            if ix < 0 || ix >= len then
-              trap "shared load out of bounds: %s[%d]" name ix;
-            Array.unsafe_set c.facc 0 (Array.unsafe_get (Array.unsafe_get c.sf slot) ix))
-      | Some (Si (slot, len)) ->
-        I
-          (fun c l ->
-            let ix = fi c l in
-            Warp_access.record_shared c.acc ix;
-            if ix < 0 || ix >= len then
-              trap "shared load out of bounds: %s[%d]" name ix;
-            Array.unsafe_get (Array.unsafe_get c.si slot) ix))
-    | Kir.Shfl_down (v, l) -> compile_shfl env v l (fun lane d -> lane + d)
-    | Kir.Shfl_xor (v, l) -> compile_shfl env v l (fun lane m -> lane lxor m)
-    | Kir.Shfl_idx (v, l) -> compile_shfl env v l (fun _ src -> src)
-    | Kir.Ballot p ->
-      let fp = as_bexp (compile_vote_pred env p) in
-      let check = converged_check env "warp vote" in
-      let ws = env.ws in
-      I
-        (fun c _ ->
-          check c;
-          let m = ref 0 in
-          for l = 0 to ws - 1 do
-            if c.exists_mask land (1 lsl l) <> 0 && fp c l then
-              m := !m lor (1 lsl l)
-          done;
-          !m)
-    | Kir.Any p ->
-      let fp = as_bexp (compile_vote_pred env p) in
-      let check = converged_check env "warp vote" in
-      let ws = env.ws in
-      B
-        (fun c _ ->
-          check c;
-          let r = ref false in
-          for l = 0 to ws - 1 do
-            if c.exists_mask land (1 lsl l) <> 0 && fp c l then r := true
-          done;
-          !r)
-    | Kir.All p ->
-      let fp = as_bexp (compile_vote_pred env p) in
-      let check = converged_check env "warp vote" in
-      let ws = env.ws in
-      B
-        (fun c _ ->
-          check c;
-          let r = ref true in
-          for l = 0 to ws - 1 do
-            if c.exists_mask land (1 lsl l) <> 0 && not (fp c l) then
-              r := false
-          done;
-          !r))
-
-(* [cmask] is only maintained at evaluation points whose expression
-   statically contains a warp primitive, so the comparison is meaningful
-   exactly where it runs *)
-and converged_check env what =
-  let kname = env.k.Kir.kname in
-  fun c ->
-    if c.cmask <> c.exists_mask then
-      trap "kernel %s: %s under divergent control flow" kname what
-
-and compile_vote_pred env p =
-  if has_mem p then fallback "warp-primitive operand reads memory";
-  compile_exp env p
-
-(* A shuffle evaluates its (pure) value operand at the calling lane first
-   — the own-value fallback, and the evaluation whose node count the
-   reference engine attributes to the counting lane — then re-evaluates it
-   at the resolved source lane, mirroring [Interp]'s order exactly. *)
-and compile_shfl env v l src_of : texp =
-  if has_mem v || has_mem l then
-    fallback "warp-primitive operand reads memory";
-  let ws = env.ws in
-  let check = converged_check env "warp shuffle" in
-  let fl = as_iexp (compile_exp env l) in
-  match compile_exp env v with
-  | I fv ->
-    I
-      (fun c lane ->
-        check c;
-        let own = fv c lane in
-        let src = src_of lane (fl c lane) in
-        if src >= 0 && src < ws && c.exists_mask land (1 lsl src) <> 0 then
-          fv c src
-        else own)
-  | B fv ->
-    B
-      (fun c lane ->
-        check c;
-        let own = fv c lane in
-        let src = src_of lane (fl c lane) in
-        if src >= 0 && src < ws && c.exists_mask land (1 lsl src) <> 0 then
-          fv c src
-        else own)
-  | F fv ->
-    F
-      (fun c lane ->
-        check c;
-        fv c lane;
-        let own = Array.unsafe_get c.facc 0 in
-        let src = src_of lane (fl c lane) in
-        if src >= 0 && src < ws && c.exists_mask land (1 lsl src) <> 0 then
-          fv c src
-        else Array.unsafe_set c.facc 0 own)
+    | Kir.Reg r ->
+      if not (IS.mem r d) then reject "possibly-undefined register read"
+    | Int _ | Float _ | Bool _ | Tid _ | Bid _ | Bdim _ | Gdim _ | Param _ ->
+      ()
+    | Bin (_, a, b) | Cmp (_, a, b) ->
+      reads d a;
+      reads d b
+    | Un (_, a) -> reads d a
+    | Select (c, a, b) ->
+      reads d c;
+      reads d a;
+      reads d b
+    | Load_g (_, i) | Load_s (_, i) -> reads d i
+    | Shfl_down (v, l) | Shfl_xor (v, l) | Shfl_idx (v, l) ->
+      (* a shuffle reads its value operand at *another* lane; registers in
+         it must therefore be assigned on every path (convergence — which
+         both engines enforce dynamically — then guarantees every lane has
+         executed those assignments) *)
+      reads d v;
+      reads d l
+    | Ballot p | Any p | All p -> reads d p
+  in
+  let rec invariant (e : Kir.exp) =
+    match e with
+    | Int _ | Float _ | Bool _ | Tid _ | Bid _ | Bdim _ | Gdim _ | Param _ ->
+      true
+    | Bin (_, a, b) | Cmp (_, a, b) -> invariant a && invariant b
+    | Un (_, a) -> invariant a
+    | Select (c, a, b) -> invariant c && invariant a && invariant b
+    | Reg _ | Load_g _ | Load_s _ | Shfl_down _ | Shfl_xor _ | Shfl_idx _
+    | Ballot _ | Any _ | All _ ->
+      false
+  in
+  (* [d]: definitely assigned; [g]: per lane-invariant condition, the
+     registers assigned whenever it held *)
+  let under g c = Option.value ~default:IS.empty (List.assoc_opt c g) in
+  let rec stmt (d, g) (s : Kir.stmt) =
+    match s with
+    | Kir.Set (r, e) ->
+      reads d e;
+      (IS.add r d, g)
+    | Kir.Store_g (_, i, v) | Kir.Store_s (_, i, v)
+    | Kir.Atomic_add_g (_, i, v) ->
+      reads d i;
+      reads d v;
+      (d, g)
+    | Kir.Atomic_add_ret { reg; idx; value; _ } ->
+      reads d idx;
+      reads d value;
+      (IS.add reg d, g)
+    | Kir.If (c, t, e) ->
+      reads d c;
+      let inv = invariant c in
+      let dt = stmts (if inv then IS.union d (under g c) else d) g t
+      and de = stmts d g e in
+      let g = if inv then (c, IS.union (under g c) (IS.diff dt d)) :: g else g in
+      (IS.inter dt de, g)
+    | Kir.For { reg; lo; hi; step; body } ->
+      reads d lo;
+      let d = IS.add reg d in
+      reads d hi;
+      let db = stmts d g body in
+      reads db step;
+      (match (cfold env lo, cfold env hi) with
+       | Some (CI a), Some (CI b) when a < b -> (db, g)
+       | _ -> (* the body may run zero times: only the counter survives *)
+         (d, g))
+    | Kir.While (c, body) ->
+      reads d c;
+      ignore (stmts d g body);
+      (d, g)
+    | Kir.Sync | Kir.Malloc_event -> (d, g)
+  and stmts d g l = fst (List.fold_left stmt (d, g) l) in
+  ignore (stmts IS.empty [] k.Kir.body)
 
 (* ----- statement compilation ----- *)
 
@@ -1036,102 +583,40 @@ type _ Effect.t += Sync_eff : unit Effect.t
 let bump stats n =
   if n > 0. then stats.Stats.warp_insts <- stats.Stats.warp_insts +. n
 
-(* Arm one evaluation point whose expression contains [ns] warp
-   shuffle/vote nodes: publish the active mask for the convergence check
-   and count the primitives — the reference engine does both while
-   evaluating the first active lane. Statically zero-shuffle points skip
-   this entirely (the common case pays one float compare). *)
-let shfl_pre ns ctx mask =
-  if ns > 0. then begin
-    ctx.cmask <- mask;
-    ctx.stats.Stats.shuffles <- ctx.stats.Stats.shuffles +. ns
-  end
+(* Count the [ns] warp shuffle/vote nodes of one evaluation point — the
+   reference engine counts them while evaluating the first active lane.
+   Statically zero-shuffle points pay one float compare. *)
+let shfl_pre ns ctx =
+  if ns > 0. then ctx.stats.Stats.shuffles <- ctx.stats.Stats.shuffles +. ns
 
 let run_body (body : cstmt array) ctx mask =
   for i = 0 to Array.length body - 1 do
     (Array.unsafe_get body i) ctx mask
   done
 
-(* Lane iteration is tail-recursive on int arguments rather than a
-   while-loop over refs: without flambda every [ref] in a closure body is
-   a real heap cell, and these loops run once per warp statement. *)
-let rec each_lane (write : ctx -> int -> unit) ctx m lane =
-  if m <> 0 then begin
-    if m land 1 <> 0 then write ctx lane;
-    each_lane write ctx (m lsr 1) (lane + 1)
-  end
+(* ----- node-major statement engine -----
 
-let rec each_lane_rec (write : ctx -> int -> unit) ctx m lane =
-  if m <> 0 then begin
-    if m land 1 <> 0 then begin
-      Warp_access.begin_lane ctx.acc;
-      write ctx lane
-    end;
-    each_lane_rec write ctx (m lsr 1) (lane + 1)
-  end
+   Every statement is staged node-major: each expression node becomes one
+   closure that evaluates all active lanes in a tight unboxed loop over
+   slab rows, so closure dispatch is paid once per warp-node instead of
+   once per lane-node. Node emission order replays the reference engine's
+   per-lane evaluation order (Bin/Cmp right operand first, Select strict
+   cond/then/else, a load's index subtree before its record), and every
+   memory operand takes one [Warp_access] slot in that order with lanes
+   appended in lane order — the priced access stream is the reference
+   engine's, so all statistics stay bit-identical.
 
-(* evaluate a per-lane predicate under [m], returning the mask of lanes
-   where it held; [hm]-gated access recording like the loops above *)
-let rec pred_mask (f : bexp) hm ctx m lane taken =
-  if m = 0 then taken
-  else
-    let taken =
-      if m land 1 <> 0 then begin
-        if hm then Warp_access.begin_lane ctx.acc;
-        if f ctx lane then taken lor (1 lsl lane) else taken
-      end
-      else taken
-    in
-    pred_mask f hm ctx (m lsr 1) (lane + 1) taken
+   The reference engine runs a statement lane by lane, so a statement
+   that loads the array it writes (a store or an atomic) sees the writes
+   of lower lanes. Such a statement splits its nodes: those independent of
+   the aliased loads run node-major, then a per-warp check decides whether
+   any lane can observe another's write; only then do the remaining nodes
+   run once per active lane in lane order (see [vbody]).
 
-(* one warp statement: [write] per active lane, then price the accesses.
-   Instruction counting is the precomputed [n] — the reference engine
-   counts the same nodes while evaluating the first active lane. *)
-let group ~n ~ns ~hm ~sites (write : ctx -> int -> unit) : cstmt =
-  let base : cstmt =
-    if hm then
-      fun ctx mask ->
-        bump ctx.stats n;
-        Warp_access.set_sites ctx.acc sites;
-        each_lane_rec write ctx mask 0;
-        Warp_access.flush ctx.acc
-    else
-      fun ctx mask ->
-        bump ctx.stats n;
-        each_lane write ctx mask 0
-  in
-  if ns > 0. then
-    fun ctx mask ->
-      shfl_pre ns ctx mask;
-      base ctx mask
-  else base
-
-(* ----- node-major (vectorised) statement engine -----
-
-   The scalar path above walks one closure tree per lane per statement:
-   every AST node costs an indirect call per lane, and float results
-   round-trip through [facc]. The vector path stages the same statement
-   node-major: each node becomes one closure that evaluates all active
-   lanes in a tight unboxed loop over slab rows, so closure dispatch is
-   paid once per warp-node instead of once per lane-node. Node emission
-   order replays the reference engine's per-lane evaluation order
-   (Bin/Cmp right operand first, Select strict cond/then/else, a load's
-   index subtree before its record), and every memory operand takes one
-   [Warp_access] slot in that order with lanes appended in lane order —
-   the priced access stream is identical to the scalar engine's, so all
-   statistics stay bit-identical.
-
-   Only straight-line statements (Set / Store_g / Store_s) vectorise;
-   control flow keeps the scalar statement skeleton and vectorises the
-   statements of its body. A store whose statement also loads the stored
-   buffer falls back to the scalar statement: the scalar engine
-   interleaves lanes' reads and writes, the vector engine would read all
-   lanes first. The scalar compiler has always vetted a statement before
-   the vector path runs, so [Unvectorizable] is a clean per-statement
-   fallback, never a semantic change. The only observable difference is
-   trap interleaving in multi-fault warps: the scalar engine runs whole
-   lanes in order, the vector engine whole nodes in order, so when two
-   lanes would each trap the one that fires first can differ. *)
+   The one observable difference is trap interleaving in multi-fault
+   warps: the reference engine runs whole lanes in order, this engine
+   whole nodes in order, so when two lanes would each trap the one that
+   fires first can differ. *)
 
 let iarr ctx = function
   | VIs _ -> ctx.vi_slab
@@ -1145,8 +630,9 @@ let ioff = function VIs o | VIr o | VIc o -> o | VTx | VTy | VTz -> 0
 let farr ctx = function VFs _ -> ctx.vf_slab | VFr _ -> ctx.freg | VFc _ -> ctx.vf_const
 let foff = function VFs o | VFr o | VFc o -> o
 
-(* Lane loops mirror [each_lane]: tail-recursive on ints, no refs. Every
-   maker resolves its operand rows once per node call, then runs a
+(* Lane loops are tail-recursive on int arguments rather than while-loops
+   over refs: without flambda every [ref] in a closure body is a real
+   heap cell, and these loops run once per warp node. Every maker resolves its operand rows once per node call, then runs a
    branch-free (bar the mask test) unboxed loop. *)
 
 let v_ibin op sa sb d : vnode =
@@ -1300,7 +786,7 @@ let v_fbin op sa sb d : vnode =
     in
     go m 0
   | Min ->
-    (* Float.min, like the scalar engine: NaN- and signed-zero-aware *)
+    (* Float.min, like the reference engine: NaN- and signed-zero-aware *)
     let rec go m l =
       if m <> 0 then begin
         if m land 1 <> 0 then
@@ -1389,7 +875,7 @@ let v_icmp op sa sb d : vnode =
     in
     go m 0
 
-(* Float comparisons follow the scalar engine's [Float.compare] total
+(* Float comparisons follow the reference engine's [Float.compare] total
    order (NaN below everything, NaN = NaN) — spelled out with IEEE
    operators plus NaN tests so the loop stays free of C calls. *)
 let v_fcmp op sa sb d : vnode =
@@ -1654,7 +1140,7 @@ let v_copy_f src dbase : vnode =
   go m 0
 
 (* loads/stores: per active lane, record then bounds-check then touch the
-   data — the same order as the scalar engine, slot by slot *)
+   data — the same order as the reference engine, slot by slot *)
 
 let v_load_gf name (a : float array) base eb ms sidx d : vnode =
   let len = Array.length a in
@@ -1844,7 +1330,7 @@ let v_iltmask rbase src : ctx -> int -> int =
   in
   go m 0 0
 
-(* Float.compare _ _ < 0 total order, like the scalar For cond *)
+(* Float.compare _ _ < 0 total order, like the reference For cond *)
 let v_fltmask rbase src : ctx -> int -> int =
  fun ctx m ->
   let a = ctx.freg and b = farr ctx src in
@@ -1894,7 +1380,7 @@ let v_faddreg rbase src : vnode =
    ready. Convergence is checked against the mask the node actually runs
    under; with the full warp active every in-range existing source lane
    holds a valid row entry. Out-of-range or non-existent sources fall
-   back to the lane's own value, like both scalar engines. *)
+   back to the lane's own value, like the reference engine. *)
 
 let v_shfl_i kname ws src_of sa sl d : vnode =
  fun ctx m ->
@@ -1970,9 +1456,127 @@ let v_vote kname kind sp d : vnode =
   in
   go m 0
 
+(* atomics: lanes apply in lane order, each recording its element index
+   for the contention model, then bounds-checking, then updating — the
+   reference order. [ret], when non-negative, is the register row that
+   receives each lane's old value ([Atomic_add_ret]); the operand is read
+   before that write, since it may be the same register. *)
+
+let v_atomic_f name (a : float array) ret sidx sv : vnode =
+  let len = Array.length a in
+  fun ctx m ->
+    let ia = iarr ctx sidx and va = farr ctx sv and acc = ctx.acc in
+    let io = ioff sidx and vo = foff sv and regs = ctx.freg in
+    let rec go m l =
+      if m <> 0 then begin
+        if m land 1 <> 0 then begin
+          let ix = Array.unsafe_get ia (io + l) in
+          let x = Array.unsafe_get va (vo + l) in
+          Warp_access.atomic_record acc ix;
+          if ix < 0 || ix >= len then
+            trap "load out of bounds: %s[%d] (len %d)" name ix len;
+          let old = Array.unsafe_get a ix in
+          if ret >= 0 then Array.unsafe_set regs (ret + l) old;
+          Array.unsafe_set a ix (old +. x)
+        end;
+        go (m lsr 1) (l + 1)
+      end
+    in
+    go m 0
+
+let v_atomic_i name (a : int array) ret sidx sv : vnode =
+  let len = Array.length a in
+  fun ctx m ->
+    let ia = iarr ctx sidx and va = iarr ctx sv and acc = ctx.acc in
+    let io = ioff sidx and vo = ioff sv and regs = ctx.ireg in
+    let rec go m l =
+      if m <> 0 then begin
+        if m land 1 <> 0 then begin
+          let ix = Array.unsafe_get ia (io + l) in
+          let x = Array.unsafe_get va (vo + l) in
+          Warp_access.atomic_record acc ix;
+          if ix < 0 || ix >= len then
+            trap "load out of bounds: %s[%d] (len %d)" name ix len;
+          let old = Array.unsafe_get a ix in
+          if ret >= 0 then Array.unsafe_set regs (ret + l) old;
+          Array.unsafe_set a ix (old + x)
+        end;
+        go (m lsr 1) (l + 1)
+      end
+    in
+    go m 0
+
+(* ----- the aliasing check -----
+
+   A statement that loads the array it writes runs lane by lane in the
+   reference engine, so a lane's load sees the writes of lower lanes. The
+   warp may still run node-major when no lane can observe another's write:
+   the write index row is strictly monotonic over the active lanes (so the
+   indices are pairwise distinct and bounded by the first and last lane's),
+   and every aliased load index is either the lane's own write index or
+   outside the written range. *)
+
+let rec lowest_lane m l = if m land 1 <> 0 then l else lowest_lane (m lsr 1) (l + 1)
+let rec highest_lane m l = if m lsr 1 = 0 then l else highest_lane (m lsr 1) (l + 1)
+
+let rec strictly_monotonic (w : int array) wo up m l prev =
+  m = 0
+  ||
+  if m land 1 = 0 then strictly_monotonic w wo up (m lsr 1) (l + 1) prev
+  else
+    let x = Array.unsafe_get w (wo + l) in
+    (if up then x > prev else x < prev)
+    && strictly_monotonic w wo up (m lsr 1) (l + 1) x
+
+let rec own_or_outside (r : int array) ro (w : int array) wo lo hi m l =
+  m = 0
+  || (m land 1 = 0
+      ||
+      let j = Array.unsafe_get r (ro + l) in
+      j = Array.unsafe_get w (wo + l) || j < lo || j > hi)
+     && own_or_outside r ro w wo lo hi (m lsr 1) (l + 1)
+
+let v_clean sw (rows : visrc array) : ctx -> int -> bool =
+  let nrows = Array.length rows in
+  fun ctx m ->
+    let w = iarr ctx sw and wo = ioff sw in
+    let l0 = lowest_lane m 0 and l1 = highest_lane m 0 in
+    let x0 = Array.unsafe_get w (wo + l0)
+    and x1 = Array.unsafe_get w (wo + l1) in
+    let up = x1 >= x0 in
+    let lo = if up then x0 else x1 and hi = if up then x1 else x0 in
+    let rec rows_ok k =
+      k = nrows
+      ||
+      let r = Array.unsafe_get rows k in
+      own_or_outside (iarr ctx r) (ioff r) w wo lo hi m 0 && rows_ok (k + 1)
+    in
+    strictly_monotonic w wo up (m lsr (l0 + 1)) (l0 + 1) x0 && rows_ok 0
+
 (* ----- vector compilation ----- *)
 
+let new_vstate env alias =
+  {
+    vg = env.vg;
+    vws = env.ws;
+    alias;
+    rev_nodes = [];
+    rev_post = [];
+    alias_rows = [];
+    alias_dep = false;
+    ni = 0;
+    nf = 0;
+    rev_kinds = [];
+    nmem = 0;
+  }
+
 let vemit (st : vstate) n = st.rev_nodes <- n :: st.rev_nodes
+
+(* the write of an aliasing statement runs after the aliasing check *)
+let vemit_write (st : vstate) n =
+  match st.alias with
+  | No_alias -> vemit st n
+  | Alias_g _ | Alias_s _ -> st.rev_post <- n :: st.rev_post
 
 let valloc_i (st : vstate) =
   let o = st.ni * st.vws in
@@ -2046,16 +1650,43 @@ let rec loads_shared name (e : Kir.exp) =
   | Kir.Bdim _ | Kir.Gdim _ | Kir.Param _ ->
     false
 
+let reads_alias alias e =
+  match alias with
+  | No_alias -> false
+  | Alias_g n -> loads_global n e
+  | Alias_s n -> loads_shared n e
+
+(* operand rows by the coercions the reference engine applies: indices and
+   conditions take ints or bools (bools as 0/1), loop operands and float
+   positions are strict *)
+let int_row what = function
+  | VI s | VB s -> s
+  | VF _ -> reject "%s: expected an integer or boolean, got a float" what
+
+let strict_int_row what = function
+  | VI s -> s
+  | VF _ | VB _ -> reject "%s: expected an integer" what
+
+let float_row what = function
+  | VF s -> s
+  | VI _ | VB _ -> reject "%s: expected a float" what
+
 (* Emission order tracks the reference engine's per-lane evaluation
    order: a node's operand rows are fully written before the node runs
-   for any lane, and memory slots are allocated exactly where the scalar
-   engine's per-lane record cursor would sit. *)
-let rec vcompile_exp env (st : vstate) (e : Kir.exp) : vtexp =
+   for any lane, and memory slots are allocated exactly where the
+   reference engine's per-lane record cursor would sit. A node whose
+   subtree reads an aliased load joins the statement's post list, which
+   runs after the aliasing check. *)
+let rec stage_exp env (st : vstate) (e : Kir.exp) : vtexp =
   match cfold env e with
   | Some (CI n) -> VI (VIc (vconst_i st n))
   | Some (CF x) -> VF (VFc (vconst_f st x))
   | Some (CB b) -> VB (VIc (vconst_i st (if b then 1 else 0)))
   | None -> (
+    let emit =
+      if reads_alias st.alias e then fun n -> st.rev_post <- n :: st.rev_post
+      else vemit st
+    in
     match e with
     | Kir.Int _ | Kir.Float _ | Kir.Bool _ | Kir.Bdim _ | Kir.Gdim _
     | Kir.Param _ ->
@@ -2071,129 +1702,119 @@ let rec vcompile_exp env (st : vstate) (e : Kir.exp) : vtexp =
       VI (match d with Kir.X -> VTx | Kir.Y -> VTy | Kir.Z -> VTz)
     | Kir.Bid d ->
       let o = valloc_i st in
-      vemit st (v_bid d env.ws o);
+      emit (v_bid d env.ws o);
       VI (VIs o)
     | Kir.Bin (op, a, b) -> (
       (* right operand first, like the reference engine *)
-      let tb = vcompile_exp env st b in
-      let ta = vcompile_exp env st a in
+      let tb = stage_exp env st b in
+      let ta = stage_exp env st a in
       let open Ppat_ir.Exp in
       match op with
       | And | Or -> (
         match (ta, tb) with
         | VB xa, VB xb ->
           let d = valloc_i st in
-          vemit st (v_ibin op xa xb d);
+          emit (v_ibin op xa xb d);
           VB (VIs d)
-        | _ -> raise Unvectorizable)
+        | _ -> reject "logical op on non-booleans")
       | Add | Sub | Mul | Div | Mod | Min | Max -> (
         match (ta, tb) with
         | VI xa, VI xb ->
           let d = valloc_i st in
-          vemit st (v_ibin op xa xb d);
+          emit (v_ibin op xa xb d);
           VI (VIs d)
         | VF xa, VF xb ->
-          if op = Mod then raise Unvectorizable;
+          if op = Mod then reject "mod on floats";
           let d = valloc_f st in
-          vemit st (v_fbin op xa xb d);
+          emit (v_fbin op xa xb d);
           VF (VFs d)
-        | _ -> raise Unvectorizable))
+        | _ -> reject "mixed-type arithmetic"))
     | Kir.Un (op, a) -> (
-      let ta = vcompile_exp env st a in
+      let ta = stage_exp env st a in
       let open Ppat_ir.Exp in
       match (op, ta) with
       | Neg, VI x | Abs, VI x ->
         let d = valloc_i st in
-        vemit st (v_iun op x d);
+        emit (v_iun op x d);
         VI (VIs d)
       | Not, VB x ->
         let d = valloc_i st in
-        vemit st (v_iun op x d);
+        emit (v_iun op x d);
         VB (VIs d)
       | (Neg | Abs | Sqrt | Exp_ | Log_), VF x ->
         let d = valloc_f st in
-        vemit st (v_fun_ op x d);
+        emit (v_fun_ op x d);
         VF (VFs d)
       | I2f, VI x ->
         let d = valloc_f st in
-        vemit st (v_i2f x d);
+        emit (v_i2f x d);
         VF (VFs d)
       | F2i, VF x ->
         let d = valloc_i st in
-        vemit st (v_f2i x d);
+        emit (v_f2i x d);
         VI (VIs d)
-      | _ -> raise Unvectorizable)
+      | _ -> reject "unop operand type mismatch")
     | Kir.Cmp (op, a, b) -> (
-      let tb = vcompile_exp env st b in
-      let ta = vcompile_exp env st a in
+      let tb = stage_exp env st b in
+      let ta = stage_exp env st a in
       match (ta, tb) with
       | VI xa, VI xb | VB xa, VB xb ->
         (* Bool.compare on canonical 0/1 is integer compare *)
         let d = valloc_i st in
-        vemit st (v_icmp op xa xb d);
+        emit (v_icmp op xa xb d);
         VB (VIs d)
       | VF xa, VF xb ->
         let d = valloc_i st in
-        vemit st (v_fcmp op xa xb d);
+        emit (v_fcmp op xa xb d);
         VB (VIs d)
-      | _ -> raise Unvectorizable)
+      | _ -> reject "mixed-type comparison")
     | Kir.Select (c0, a, b) -> (
-      let sc =
-        match vcompile_exp env st c0 with
-        | VB s | VI s -> s  (* [as_bexp]: ints coerce via <> 0 *)
-        | VF _ -> raise Unvectorizable
-      in
-      let ta = vcompile_exp env st a in
-      let tb = vcompile_exp env st b in
+      let sc = int_row "select condition" (stage_exp env st c0) in
+      let ta = stage_exp env st a in
+      let tb = stage_exp env st b in
       match (ta, tb) with
       | VI xa, VI xb ->
         let d = valloc_i st in
-        vemit st (v_isel sc xa xb d);
+        emit (v_isel sc xa xb d);
         VI (VIs d)
       | VB xa, VB xb ->
         let d = valloc_i st in
-        vemit st (v_isel sc xa xb d);
+        emit (v_isel sc xa xb d);
         VB (VIs d)
       | VF xa, VF xb ->
         let d = valloc_f st in
-        vemit st (v_fsel sc xa xb d);
+        emit (v_fsel sc xa xb d);
         VF (VFs d)
-      | _ -> raise Unvectorizable)
+      | _ -> reject "mixed-type select")
     | Kir.Load_g (name, i) -> (
       let entry = find_entry env name in
-      let sidx =
-        match vcompile_exp env st i with
-        | VI s | VB s -> s  (* [as_iexp]: bools coerce to 0/1 *)
-        | VF _ -> raise Unvectorizable
-      in
+      let sidx = int_row "load index" (stage_exp env st i) in
+      if st.alias = Alias_g name then note_alias_load st i sidx;
       let ms = valloc_slot st Warp_access.Global in
       let base = entry.Memory.base and eb = entry.Memory.elem_bytes in
       match entry.Memory.data with
       | Ppat_ir.Host.F a ->
         let d = valloc_f st in
-        vemit st (v_load_gf name a base eb ms sidx d);
+        emit (v_load_gf name a base eb ms sidx d);
         VF (VFs d)
       | Ppat_ir.Host.I a ->
         let d = valloc_i st in
-        vemit st (v_load_gi name a base eb ms sidx d);
+        emit (v_load_gi name a base eb ms sidx d);
         VI (VIs d))
     | Kir.Load_s (name, i) -> (
-      let sidx =
-        match vcompile_exp env st i with
-        | VI s | VB s -> s
-        | VF _ -> raise Unvectorizable
-      in
+      let sidx = int_row "shared load index" (stage_exp env st i) in
+      if st.alias = Alias_s name then note_alias_load st i sidx;
       let ms = valloc_slot st Warp_access.Shared in
       match List.assoc_opt name env.smem_env with
       | Some (Sf (slot, len)) ->
         let d = valloc_f st in
-        vemit st (v_load_sf name slot len ms sidx d);
+        emit (v_load_sf name slot len ms sidx d);
         VF (VFs d)
       | Some (Si (slot, len)) ->
         let d = valloc_i st in
-        vemit st (v_load_si name slot len ms sidx d);
+        emit (v_load_si name slot len ms sidx d);
         VI (VIs d)
-      | None -> raise Unvectorizable)
+      | None -> reject "undeclared shared array %S" name)
     | Kir.Shfl_down (v, l) -> vshfl env st v l (fun lane d -> lane + d)
     | Kir.Shfl_xor (v, l) -> vshfl env st v l (fun lane m -> lane lxor m)
     | Kir.Shfl_idx (v, l) -> vshfl env st v l (fun _ src -> src)
@@ -2201,16 +1822,20 @@ let rec vcompile_exp env (st : vstate) (e : Kir.exp) : vtexp =
     | Kir.Any p -> VB (VIs (vvote env st p Vany))
     | Kir.All p -> VB (VIs (vvote env st p Vall)))
 
-(* value row first, then the lane selector — the reference order *)
+(* an aliased load's index row feeds the aliasing check — unless the index
+   itself reads the aliased array, which forces lane order *)
+and note_alias_load (st : vstate) i sidx =
+  if reads_alias st.alias i then st.alias_dep <- true
+  else st.alias_rows <- sidx :: st.alias_rows
+
+(* value row first, then the lane selector — the reference order. Warp
+   primitive operands never read memory, so these nodes never depend on
+   an aliased load. *)
 and vshfl env (st : vstate) v l src_of : vtexp =
-  if has_mem v || has_mem l then raise Unvectorizable;
+  if has_mem v || has_mem l then reject "warp-primitive operand reads memory";
   let kname = env.k.Kir.kname in
-  let tv = vcompile_exp env st v in
-  let sl =
-    match vcompile_exp env st l with
-    | VI s | VB s -> s
-    | VF _ -> raise Unvectorizable
-  in
+  let tv = stage_exp env st v in
+  let sl = int_row "shuffle lane" (stage_exp env st l) in
   match tv with
   | VI sa ->
     let d = valloc_i st in
@@ -2226,33 +1851,31 @@ and vshfl env (st : vstate) v l src_of : vtexp =
     VF (VFs d)
 
 and vvote env (st : vstate) p kind : int =
-  if has_mem p then raise Unvectorizable;
-  let sp =
-    match vcompile_exp env st p with
-    | VB s | VI s -> s
-    | VF _ -> raise Unvectorizable
-  in
+  if has_mem p then reject "warp-primitive operand reads memory";
+  let sp = int_row "vote predicate" (stage_exp env st p) in
   let d = valloc_i st in
   vemit st (v_vote env.k.Kir.kname kind sp d);
   d
 
-(* Stage one straight-line statement node-major, or [None] if the scalar
-   statement must be kept. [n] is the same precomputed instruction count
-   the scalar [group] would bump. *)
-(* Close a vector fragment into a runnable closure: slot setup, node run,
-   flush when the fragment touches memory.  No instruction bump and no
-   mask guard — the surrounding control flow does both. [sites] holds the
-   fragment's per-slot site ids; slot allocation order equals the
-   fragment's record order (both replay the reference evaluation order),
-   so index s names slot s. *)
-let vclose (st : vstate) (sites : int array) : ctx -> int -> unit =
-  let nodes = Array.of_list (List.rev st.rev_nodes) in
-  let kinds = Array.of_list (List.rev st.rev_kinds) in
-  let nmem = st.nmem in
-  let nn = Array.length nodes in
+(* Seal a statement or fragment: fold its temp-slab use into the
+   launch-wide sizing and return its nodes in emission order. *)
+let vseal (st : vstate) =
   let vg = st.vg in
   vg.max_ni <- max vg.max_ni st.ni;
   vg.max_nf <- max vg.max_nf st.nf;
+  Array.of_list (List.rev st.rev_nodes)
+
+(* Close a control-flow fragment into a runnable closure: slot setup,
+   node run, flush when the fragment touches memory. No instruction bump
+   and no mask guard — the surrounding control flow does both. [sites]
+   holds the fragment's per-slot site ids; slot allocation order equals
+   the fragment's record order (both replay the reference evaluation
+   order), so index s names slot s. *)
+let vclose (st : vstate) (sites : int array) : ctx -> int -> unit =
+  let nodes = vseal st in
+  let kinds = Array.of_list (List.rev st.rev_kinds) in
+  let nmem = st.nmem in
+  let nn = Array.length nodes in
   if nmem > 0 then (fun ctx mask ->
     Warp_access.set_sites ctx.acc sites;
     Warp_access.set_slots ctx.acc kinds nmem;
@@ -2265,7 +1888,7 @@ let vclose (st : vstate) (sites : int array) : ctx -> int -> unit =
       (Array.unsafe_get nodes i) ctx mask
     done
 
-(* the flush-group site array of a straight-line statement's annotation *)
+(* the per-slot site array of a straight-line statement's annotation *)
 let simple_sites (a : Site.ann) =
   match a with Site.A_simple s -> s | _ -> Site.no_sites
 
@@ -2274,717 +1897,192 @@ let simple_sites (a : Site.ann) =
 let atomic_sites (a : Site.ann) =
   match a with Site.A_atomic (ops, s) -> (ops, s) | _ -> (Site.no_sites, -1)
 
-let vcompile_stmt env (s : Kir.stmt) (a : Site.ann) : cstmt option =
-  let st =
-    {
-      vg = env.vg;
-      vws = env.ws;
-      rev_nodes = [];
-      ni = 0;
-      nf = 0;
-      rev_kinds = [];
-      nmem = 0;
-    }
+(* The nodes of an aliasing statement: those independent of the aliased
+   loads run node-major under the warp mask; the rest run node-major too
+   when the aliasing check clears the warp, and otherwise once per active
+   lane in lane order — the reference semantics. A write index or aliased
+   load index that itself reads the written array leaves nothing to check
+   before the post nodes run, so such a statement always takes lane
+   order. *)
+let valias_body (pre : vnode array) (st : vstate) write_row :
+    ctx -> int -> unit =
+  let post = Array.of_list (List.rev st.rev_post) in
+  let npre = Array.length pre and npost = Array.length post in
+  let run_pre ctx m =
+    for i = 0 to npre - 1 do
+      (Array.unsafe_get pre i) ctx m
+    done
   in
-  let sites = simple_sites a in
-  let finish n ns =
-    let nodes = Array.of_list (List.rev st.rev_nodes) in
-    let kinds = Array.of_list (List.rev st.rev_kinds) in
-    let nmem = st.nmem in
-    let nn = Array.length nodes in
-    let vg = st.vg in
-    vg.max_ni <- max vg.max_ni st.ni;
-    vg.max_nf <- max vg.max_nf st.nf;
-    if nmem > 0 then
-      Some
-        (fun ctx mask ->
-          shfl_pre ns ctx mask;
-          bump ctx.stats n;
-          if mask <> 0 then begin
-            Warp_access.set_sites ctx.acc sites;
-            Warp_access.set_slots ctx.acc kinds nmem;
-            for i = 0 to nn - 1 do
-              (Array.unsafe_get nodes i) ctx mask
-            done;
-            Warp_access.flush ctx.acc
-          end)
-    else
-      Some
-        (fun ctx mask ->
-          shfl_pre ns ctx mask;
-          bump ctx.stats n;
-          if mask <> 0 then
-            for i = 0 to nn - 1 do
-              (Array.unsafe_get nodes i) ctx mask
-            done)
+  let run_post ctx m =
+    for i = 0 to npost - 1 do
+      (Array.unsafe_get post i) ctx m
+    done
   in
-  try
-    match s with
-    | Kir.Set (r, e) ->
-      let n = float_of_int (nodes e) in
-      let ns = float_of_int (shfl_nodes e) in
-      let base = r * env.ws in
-      (match (env.rt.(r), vcompile_exp env st e) with
-       | TI, VI src | TB, VB src -> vemit st (v_copy_i src base)
-       | TF, VF src -> vemit st (v_copy_f src base)
-       | _ -> raise Unvectorizable);
-      finish n ns
-    | Kir.Store_g (name, i, v) ->
-      if loads_global name i || loads_global name v then raise Unvectorizable;
-      let n = float_of_int (1 + nodes i + nodes v) in
-      let ns = float_of_int (shfl_nodes i + shfl_nodes v) in
-      let entry = find_entry env name in
-      let sidx =
-        match vcompile_exp env st i with
-        | VI s | VB s -> s
-        | VF _ -> raise Unvectorizable
-      in
-      let base = entry.Memory.base and eb = entry.Memory.elem_bytes in
-      (match entry.Memory.data with
-       | Ppat_ir.Host.F a ->
-         let sv =
-           match vcompile_exp env st v with
-           | VF s -> s
-           | VI _ | VB _ -> raise Unvectorizable
-         in
-         let ms = valloc_slot st Warp_access.Global in
-         vemit st (v_store_gf name a base eb ms sidx sv)
-       | Ppat_ir.Host.I a ->
-         let sv =
-           match vcompile_exp env st v with
-           | VI s | VB s -> s
-           | VF _ -> raise Unvectorizable
-         in
-         let ms = valloc_slot st Warp_access.Global in
-         vemit st (v_store_gi name a base eb ms sidx sv));
-      finish n ns
-    | Kir.Store_s (name, i, v) ->
-      if loads_shared name i || loads_shared name v then raise Unvectorizable;
-      let n = float_of_int (1 + nodes i + nodes v) in
-      let ns = float_of_int (shfl_nodes i + shfl_nodes v) in
-      let sidx =
-        match vcompile_exp env st i with
-        | VI s | VB s -> s
-        | VF _ -> raise Unvectorizable
-      in
-      (match List.assoc_opt name env.smem_env with
-       | Some (Sf (slot, len)) ->
-         let sv =
-           match vcompile_exp env st v with
-           | VF s -> s
-           | VI _ | VB _ -> raise Unvectorizable
-         in
-         let ms = valloc_slot st Warp_access.Shared in
-         vemit st (v_store_sf name slot len ms sidx sv)
-       | Some (Si (slot, len)) ->
-         let sv =
-           match vcompile_exp env st v with
-           | VI s | VB s -> s
-           | VF _ -> raise Unvectorizable
-         in
-         let ms = valloc_slot st Warp_access.Shared in
-         vemit st (v_store_si name slot len ms sidx sv)
-       | None -> raise Unvectorizable);
-      finish n ns
-    | _ -> None
-  with Unvectorizable -> None
-
-let rec compile_stmt env (s : Kir.stmt) (a : Site.ann) : cstmt =
-  match s with
-  | Kir.Set _ | Kir.Store_g _ | Kir.Store_s _ -> (
-    (* the scalar compiler always runs first — it performs every type
-       check and whole-launch fallback decision — then the vector path
-       replaces the statement closure when it supports the form *)
-    let scalar = compile_stmt_scalar env s a in
-    match vcompile_stmt env s a with
-    | Some v ->
-      Ppat_metrics.Metrics.incr Engine_metrics.vector_stmts;
-      v
-    | None ->
-      Ppat_metrics.Metrics.incr Engine_metrics.scalar_stmts;
-      scalar)
-  | Kir.If _ | Kir.For _ | Kir.While _ -> (
-    (* control flow: the vector path only accepts operand shapes the
-       scalar compiler also accepts, so trying it first cannot mask a
-       whole-launch fallback — on Unvectorizable we recompile scalar,
-       which re-runs every type check *)
-    match vcompile_ctl env s a with
-    | Some v ->
-      Ppat_metrics.Metrics.incr Engine_metrics.vector_ctl;
-      v
-    | None ->
-      Ppat_metrics.Metrics.incr Engine_metrics.scalar_ctl;
-      compile_stmt_scalar env s a)
-  | _ -> compile_stmt_scalar env s a
-
-(* Vectorised control flow.  The branch/loop skeleton (divergence
-   bookkeeping, per-iteration instruction bumps, the iteration guard)
-   mirrors the scalar arms exactly; only predicate/init/step evaluation
-   is node-major.  Each fragment compiles once and is replayed every
-   iteration: temp slots are fragment-local, memory slots are re-armed
-   per run by [vclose]'s set_slots. *)
-and vcompile_ctl env (s : Kir.stmt) (a : Site.ann) : cstmt option =
-  let fresh () =
-    {
-      vg = env.vg;
-      vws = env.ws;
-      rev_nodes = [];
-      ni = 0;
-      nf = 0;
-      rev_kinds = [];
-      nmem = 0;
-    }
+  let rec lane_order ctx m l =
+    if m <> 0 then begin
+      if m land 1 <> 0 then run_post ctx (1 lsl l);
+      lane_order ctx (m lsr 1) (l + 1)
+    end
   in
-  match s, a with
-  | Kir.If (c, t, e), Site.A_if (csites, bsite, ta, ea) -> (
-    let st = fresh () in
-    let src =
-      try
-        Some
-          (match vcompile_exp env st c with
-           | VB s | VI s -> s
-           | VF _ -> raise Unvectorizable)
-      with Unvectorizable -> None
-    in
-    match src with
-    | None -> None
-    | Some src ->
-      let n = float_of_int (nodes c) in
-      let ns_c = float_of_int (shfl_nodes c) in
-      let run = vclose st csites in
-      let ext = v_maskof src in
-      let ct = Array.of_list (List.map2 (compile_stmt env) t ta) in
-      let ce = Array.of_list (List.map2 (compile_stmt env) e ea) in
-      let divergible = t <> [] || e <> [] in
-      let has_else = e <> [] in
-      Some
-        (fun ctx mask ->
-          shfl_pre ns_c ctx mask;
-          bump ctx.stats n;
-          run ctx mask;
-          let taken = ext ctx mask in
-          let fall = mask land lnot taken in
-          let bt = taken <> 0 and bf = fall <> 0 in
-          if bt && bf && divergible then
-            begin
-              ctx.stats.Stats.divergent_branches <-
-                ctx.stats.Stats.divergent_branches +. 1.;
-              if ctx.attr_on then Warp_access.attr_divergent ctx.acc bsite
-            end;
-          if bt then run_body ct ctx taken;
-          if bf && has_else then run_body ce ctx fall))
-  | Kir.For { reg; lo; hi; step; body }, Site.A_for (los, his, sts, bsite, ba)
-    -> (
-    let base = reg * env.ws in
-    let kname = env.k.Kir.kname in
-    let build init condr cond_ext stepf =
-      let cbody = Array.of_list (List.map2 (compile_stmt env) body ba) in
-      let n_lo = float_of_int (nodes lo) in
-      let n_cond = float_of_int (nodes hi + 1) in
-      let n_step = float_of_int (nodes step + 1) in
-      let ns_lo = float_of_int (shfl_nodes lo) in
-      let ns_cond = float_of_int (shfl_nodes hi) in
-      let ns_step = float_of_int (shfl_nodes step) in
-      Some
-        (fun ctx mask ->
-          shfl_pre ns_lo ctx mask;
-          bump ctx.stats n_lo;
-          init ctx mask;
-          let rec loop active iters =
-            shfl_pre ns_cond ctx active;
-            bump ctx.stats n_cond;
-            condr ctx active;
-            let next = cond_ext ctx active in
-            if next <> 0 then begin
-              if active land lnot next <> 0 then
-                begin
-              ctx.stats.Stats.divergent_branches <-
-                ctx.stats.Stats.divergent_branches +. 1.;
-              if ctx.attr_on then Warp_access.attr_divergent ctx.acc bsite
-            end;
-              run_body cbody ctx next;
-              shfl_pre ns_step ctx next;
-              bump ctx.stats n_step;
-              stepf ctx next;
-              let iters = iters + 1 in
-              if iters > max_loop_iters then
-                trap "kernel %s: loop exceeded %d iterations" kname
-                  max_loop_iters;
-              loop next iters
-            end
-          in
-          loop mask 0)
-    in
-    match env.rt.(reg) with
-    | TB -> None
-    | TI -> (
-      try
-        let st1 = fresh () in
-        let s_lo =
-          match vcompile_exp env st1 lo with
-          | VI s -> s
-          | _ -> raise Unvectorizable
-        in
-        vemit st1 (v_copy_i s_lo base);
-        let init = vclose st1 los in
-        let st2 = fresh () in
-        let s_hi =
-          match vcompile_exp env st2 hi with
-          | VI s -> s
-          | _ -> raise Unvectorizable
-        in
-        let condr = vclose st2 his in
-        let st3 = fresh () in
-        let s_st =
-          match vcompile_exp env st3 step with
-          | VI s -> s
-          | _ -> raise Unvectorizable
-        in
-        vemit st3 (v_iaddreg base s_st);
-        build init condr (v_iltmask base s_hi) (vclose st3 sts)
-      with Unvectorizable -> None)
-    | TF -> (
-      try
-        let st1 = fresh () in
-        let s_lo =
-          match vcompile_exp env st1 lo with
-          | VF s -> s
-          | _ -> raise Unvectorizable
-        in
-        vemit st1 (v_copy_f s_lo base);
-        let init = vclose st1 los in
-        let st2 = fresh () in
-        let s_hi =
-          match vcompile_exp env st2 hi with
-          | VF s -> s
-          | _ -> raise Unvectorizable
-        in
-        let condr = vclose st2 his in
-        let st3 = fresh () in
-        let s_st =
-          match vcompile_exp env st3 step with
-          | VF s -> s
-          | _ -> raise Unvectorizable
-        in
-        vemit st3 (v_faddreg base s_st);
-        build init condr (v_fltmask base s_hi) (vclose st3 sts)
-      with Unvectorizable -> None))
-  | Kir.While (c, body), Site.A_while (csites, bsite, ba) -> (
-    let st = fresh () in
-    let src =
-      try
-        Some
-          (match vcompile_exp env st c with
-           | VB s | VI s -> s
-           | VF _ -> raise Unvectorizable)
-      with Unvectorizable -> None
-    in
-    match src with
-    | None -> None
-    | Some src ->
-      let n_c = float_of_int (nodes c) in
-      let ns_c = float_of_int (shfl_nodes c) in
-      let run = vclose st csites in
-      let ext = v_maskof src in
-      let cbody = Array.of_list (List.map2 (compile_stmt env) body ba) in
-      let kname = env.k.Kir.kname in
-      Some
-        (fun ctx mask ->
-          let rec loop active iters =
-            shfl_pre ns_c ctx active;
-            bump ctx.stats n_c;
-            run ctx active;
-            let next = ext ctx active in
-            if next <> 0 then begin
-              if active land lnot next <> 0 then
-                begin
-              ctx.stats.Stats.divergent_branches <-
-                ctx.stats.Stats.divergent_branches +. 1.;
-              if ctx.attr_on then Warp_access.attr_divergent ctx.acc bsite
-            end;
-              run_body cbody ctx next;
-              let iters = iters + 1 in
-              if iters > max_loop_iters then
-                trap "kernel %s: loop exceeded %d iterations" kname
-                  max_loop_iters;
-              loop next iters
-            end
-          in
-          loop mask 0))
-  | _ -> None
+  match (npost, write_row) with
+  | 0, _ -> run_pre
+  | _, Some w when not st.alias_dep ->
+    let clean = v_clean w (Array.of_list (List.rev st.alias_rows)) in
+    fun ctx m ->
+      run_pre ctx m;
+      if clean ctx m then run_post ctx m else lane_order ctx m 0
+  | _ -> fun ctx m ->
+    run_pre ctx m;
+    lane_order ctx m 0
 
-and compile_stmt_scalar env (s : Kir.stmt) (a : Site.ann) : cstmt =
-  let ws = env.ws in
-  let sites = simple_sites a in
-  match s with
-  | Kir.Set (r, e) -> (
-    let n = float_of_int (nodes e) in
-    let ns = float_of_int (shfl_nodes e) in
-    let hm = has_mem e in
-    let te = compile_exp env e in
-    let base = r * ws in
-    match (env.rt.(r), te) with
-    | TI, I f ->
-      group ~n ~ns ~hm ~sites (fun ctx lane ->
-          Array.unsafe_set ctx.ireg (base + lane) (f ctx lane))
-    | TF, F f ->
-      group ~n ~ns ~hm ~sites (fun ctx lane ->
-          f ctx lane;
-          Array.unsafe_set ctx.freg (base + lane) (Array.unsafe_get ctx.facc 0))
-    | TB, B f ->
-      group ~n ~ns ~hm ~sites (fun ctx lane ->
-          Array.unsafe_set ctx.ireg (base + lane) (if f ctx lane then 1 else 0))
-    | _ -> fallback "register/expression type mismatch")
-  | Kir.Store_g (name, i, v) -> (
-    let n = float_of_int (1 + nodes i + nodes v) in
-    let ns = float_of_int (shfl_nodes i + shfl_nodes v) in
-    let entry = find_entry env name in
-    let fi = as_iexp (compile_exp env i) in
-    let base = entry.Memory.base and eb = entry.Memory.elem_bytes in
-    match entry.Memory.data with
-    | Ppat_ir.Host.F a ->
-      let fv = as_fexp (compile_exp env v) in
-      let len = Array.length a in
-      group ~n ~ns ~hm:true ~sites (fun ctx lane ->
-          let ix = fi ctx lane in
-          fv ctx lane;
-          let x = (Array.unsafe_get ctx.facc 0) in
-          Warp_access.record_global ctx.acc (base + (ix * eb));
-          if ix < 0 || ix >= len then
-            trap "store out of bounds: %s[%d] (len %d)" name ix len;
-          Array.unsafe_set a ix x)
-    | Ppat_ir.Host.I a ->
-      let fv = as_iexp (compile_exp env v) in
-      let len = Array.length a in
-      group ~n ~ns ~hm:true ~sites (fun ctx lane ->
-          let ix = fi ctx lane in
-          let x = fv ctx lane in
-          Warp_access.record_global ctx.acc (base + (ix * eb));
-          if ix < 0 || ix >= len then
-            trap "store out of bounds: %s[%d] (len %d)" name ix len;
-          Array.unsafe_set a ix x))
-  | Kir.Store_s (name, i, v) -> (
-    let n = float_of_int (1 + nodes i + nodes v) in
-    let ns = float_of_int (shfl_nodes i + shfl_nodes v) in
-    let fi = as_iexp (compile_exp env i) in
-    match List.assoc_opt name env.smem_env with
-    | None -> fallback "undeclared shared array %S" name
-    | Some (Sf (slot, len)) ->
-      let fv = as_fexp (compile_exp env v) in
-      group ~n ~ns ~hm:true ~sites (fun ctx lane ->
-          let ix = fi ctx lane in
-          fv ctx lane;
-          let x = (Array.unsafe_get ctx.facc 0) in
-          Warp_access.record_shared ctx.acc ix;
-          if ix < 0 || ix >= len then
-            trap "shared store out of bounds: %s[%d]" name ix;
-          Array.unsafe_set (Array.unsafe_get ctx.sf slot) ix x)
-    | Some (Si (slot, len)) ->
-      let fv = as_iexp (compile_exp env v) in
-      group ~n ~ns ~hm:true ~sites (fun ctx lane ->
-          let ix = fi ctx lane in
-          let x = fv ctx lane in
-          Warp_access.record_shared ctx.acc ix;
-          if ix < 0 || ix >= len then
-            trap "shared store out of bounds: %s[%d]" name ix;
-          Array.unsafe_set (Array.unsafe_get ctx.si slot) ix x))
-  | Kir.Atomic_add_g (name, i, v) -> (
-    let n = float_of_int (1 + nodes i + nodes v) in
-    let ns = float_of_int (shfl_nodes i + shfl_nodes v) in
-    let entry = find_entry env name in
-    let fi = as_iexp (compile_exp env i) in
-    let ops, asite = atomic_sites a in
-    match entry.Memory.data with
-    | Ppat_ir.Host.F a ->
-      let fv = as_fexp (compile_exp env v) in
-      let len = Array.length a in
-      let write ctx lane =
-        let ix = fi ctx lane in
-        fv ctx lane;
-        let x = (Array.unsafe_get ctx.facc 0) in
-        Warp_access.atomic_record ctx.acc ix;
-        if ix < 0 || ix >= len then
-          trap "load out of bounds: %s[%d] (len %d)" name ix len;
-        Array.unsafe_set a ix (Array.unsafe_get a ix +. x)
-      in
-      fun ctx mask ->
-        shfl_pre ns ctx mask;
-        bump ctx.stats n;
-        Warp_access.atomic_begin ctx.acc;
-        Warp_access.set_sites ctx.acc ops;
-        each_lane_rec write ctx mask 0;
-        Warp_access.flush ctx.acc;
-        Warp_access.atomic_commit ctx.acc asite entry
-    | Ppat_ir.Host.I a ->
-      let fv = as_iexp (compile_exp env v) in
-      let len = Array.length a in
-      let write ctx lane =
-        let ix = fi ctx lane in
-        let x = fv ctx lane in
-        Warp_access.atomic_record ctx.acc ix;
-        if ix < 0 || ix >= len then
-          trap "load out of bounds: %s[%d] (len %d)" name ix len;
-        Array.unsafe_set a ix (Array.unsafe_get a ix + x)
-      in
-      fun ctx mask ->
-        shfl_pre ns ctx mask;
-        bump ctx.stats n;
-        Warp_access.atomic_begin ctx.acc;
-        Warp_access.set_sites ctx.acc ops;
-        each_lane_rec write ctx mask 0;
-        Warp_access.flush ctx.acc;
-        Warp_access.atomic_commit ctx.acc asite entry)
-  | Kir.Atomic_add_ret { reg; buf; idx; value } -> (
-    let n = float_of_int (1 + nodes idx + nodes value) in
-    let ns = float_of_int (shfl_nodes idx + shfl_nodes value) in
-    let entry = find_entry env buf in
-    let fi = as_iexp (compile_exp env idx) in
-    let base = reg * ws in
-    let ops, asite = atomic_sites a in
-    match (entry.Memory.data, env.rt.(reg)) with
-    | Ppat_ir.Host.F a, TF ->
-      let fv = as_fexp (compile_exp env value) in
-      let len = Array.length a in
-      let write ctx lane =
-        let ix = fi ctx lane in
-        fv ctx lane;
-        let x = (Array.unsafe_get ctx.facc 0) in
-        Warp_access.atomic_record ctx.acc ix;
-        if ix < 0 || ix >= len then
-          trap "load out of bounds: %s[%d] (len %d)" buf ix len;
-        let old = Array.unsafe_get a ix in
-        Array.unsafe_set ctx.freg (base + lane) old;
-        Array.unsafe_set a ix (old +. x)
-      in
-      fun ctx mask ->
-        shfl_pre ns ctx mask;
-        bump ctx.stats n;
-        Warp_access.atomic_begin ctx.acc;
-        Warp_access.set_sites ctx.acc ops;
-        each_lane_rec write ctx mask 0;
-        Warp_access.flush ctx.acc;
-        Warp_access.atomic_commit ctx.acc asite entry
-    | Ppat_ir.Host.I a, TI ->
-      let fv = as_iexp (compile_exp env value) in
-      let len = Array.length a in
-      let write ctx lane =
-        let ix = fi ctx lane in
-        let x = fv ctx lane in
-        Warp_access.atomic_record ctx.acc ix;
-        if ix < 0 || ix >= len then
-          trap "load out of bounds: %s[%d] (len %d)" buf ix len;
-        let old = Array.unsafe_get a ix in
-        Array.unsafe_set ctx.ireg (base + lane) old;
-        Array.unsafe_set a ix (old + x)
-      in
-      fun ctx mask ->
-        shfl_pre ns ctx mask;
-        bump ctx.stats n;
-        Warp_access.atomic_begin ctx.acc;
-        Warp_access.set_sites ctx.acc ops;
-        each_lane_rec write ctx mask 0;
-        Warp_access.flush ctx.acc;
-        Warp_access.atomic_commit ctx.acc asite entry
-    | _ -> fallback "atomic return register type mismatch")
-  | Kir.If (c, t, e) ->
-    let csites, bsite, ta, ea =
-      match a with
-      | Site.A_if (cs, b, ta, ea) -> (cs, b, ta, ea)
-      | _ -> (Site.no_sites, -1, List.map (fun _ -> Site.A_none) t,
-              List.map (fun _ -> Site.A_none) e)
-    in
-    let n = float_of_int (nodes c) in
-    let ns_c = float_of_int (shfl_nodes c) in
-    let hm = has_mem c in
-    let fc = as_bexp (compile_exp env c) in
-    let ct = Array.of_list (List.map2 (compile_stmt env) t ta) in
-    let ce = Array.of_list (List.map2 (compile_stmt env) e ea) in
-    let divergible = t <> [] || e <> [] in
-    let has_else = e <> [] in
-    fun ctx mask ->
-      shfl_pre ns_c ctx mask;
+(* Close a straight-line statement: count its instructions and shuffles,
+   arm its memory slots, run its nodes. An atomic brackets that with its
+   contention record; an aliasing statement runs through [valias_body].
+   The plain case keeps the node loop inline — it is the hot path. *)
+let vfinish ?atomic ?write_row (st : vstate) ~sites ~n ~ns : cstmt =
+  let n = float_of_int n and ns = float_of_int ns in
+  let nodes = vseal st in
+  let kinds = Array.of_list (List.rev st.rev_kinds) in
+  let nmem = st.nmem in
+  let nn = Array.length nodes in
+  match (st.rev_post, atomic) with
+  | [], None ->
+    if nmem > 0 then (fun ctx mask ->
+      shfl_pre ns ctx;
       bump ctx.stats n;
-      if hm then Warp_access.set_sites ctx.acc csites;
-      let taken = pred_mask fc hm ctx mask 0 0 in
-      if hm then Warp_access.flush ctx.acc;
-      (* every active lane lands in exactly one branch *)
-      let fall = mask land lnot taken in
-      let bt = taken <> 0 and bf = fall <> 0 in
-      if bt && bf && divergible then
-        begin
-              ctx.stats.Stats.divergent_branches <-
-                ctx.stats.Stats.divergent_branches +. 1.;
-              if ctx.attr_on then Warp_access.attr_divergent ctx.acc bsite
-            end;
-      if bt then run_body ct ctx taken;
-      if bf && has_else then run_body ce ctx fall
-  | Kir.For { reg; lo; hi; step; body } -> (
-    let los, his, sts, bsite, ba =
-      match a with
-      | Site.A_for (los, his, sts, b, ba) -> (los, his, sts, b, ba)
-      | _ ->
-        (Site.no_sites, Site.no_sites, Site.no_sites, -1,
-         List.map (fun _ -> Site.A_none) body)
+      if mask <> 0 then begin
+        Warp_access.set_sites ctx.acc sites;
+        Warp_access.set_slots ctx.acc kinds nmem;
+        for i = 0 to nn - 1 do
+          (Array.unsafe_get nodes i) ctx mask
+        done;
+        Warp_access.flush ctx.acc
+      end)
+    else fun ctx mask ->
+      shfl_pre ns ctx;
+      bump ctx.stats n;
+      if mask <> 0 then
+        for i = 0 to nn - 1 do
+          (Array.unsafe_get nodes i) ctx mask
+        done
+  | _ ->
+    let body = valias_body nodes st write_row in
+    let run =
+      if nmem > 0 then (fun ctx m ->
+        Warp_access.set_sites ctx.acc sites;
+        Warp_access.set_slots ctx.acc kinds nmem;
+        body ctx m;
+        Warp_access.flush ctx.acc)
+      else body
     in
-    let n_lo = float_of_int (nodes lo) in
-    let hm_lo = has_mem lo in
-    let n_cond = float_of_int (nodes hi + 1) in
-    let hm_hi = has_mem hi in
-    let n_step = float_of_int (nodes step + 1) in
-    let hm_step = has_mem step in
-    let ns_lo = float_of_int (shfl_nodes lo) in
-    let ns_cond = float_of_int (shfl_nodes hi) in
-    let ns_step = float_of_int (shfl_nodes step) in
-    let cbody = Array.of_list (List.map2 (compile_stmt env) body ba) in
-    let base = reg * ws in
-    let kname = env.k.Kir.kname in
-    let loop_guard iters =
-      if iters > max_loop_iters then
-        trap "kernel %s: loop exceeded %d iterations" kname max_loop_iters
+    let run =
+      match atomic with
+      | None -> run
+      | Some (asite, entry) -> fun ctx m ->
+        Warp_access.atomic_begin ctx.acc;
+        run ctx m;
+        Warp_access.atomic_commit ctx.acc asite entry
     in
-    match env.rt.(reg) with
-    | TI ->
-      let flo = strict_i (compile_exp env lo) in
-      let fhi = strict_i (compile_exp env hi) in
-      let fstep = strict_i (compile_exp env step) in
-      let winit ctx lane =
-        Array.unsafe_set ctx.ireg (base + lane) (flo ctx lane)
-      in
-      let cond ctx lane =
-        let h = fhi ctx lane in
-        Array.unsafe_get ctx.ireg (base + lane) < h
-      in
-      let wstep ctx lane =
-        let s = fstep ctx lane in
-        Array.unsafe_set ctx.ireg (base + lane)
-          (Array.unsafe_get ctx.ireg (base + lane) + s)
-      in
-      fun ctx mask ->
-        shfl_pre ns_lo ctx mask;
-        bump ctx.stats n_lo;
-        if hm_lo then begin
-          Warp_access.set_sites ctx.acc los;
-          each_lane_rec winit ctx mask 0;
-          Warp_access.flush ctx.acc
-        end
-        else each_lane winit ctx mask 0;
-        let rec loop active iters =
-          shfl_pre ns_cond ctx active;
-          bump ctx.stats n_cond;
-          if hm_hi then Warp_access.set_sites ctx.acc his;
-          let next = pred_mask cond hm_hi ctx active 0 0 in
-          if hm_hi then Warp_access.flush ctx.acc;
-          if next <> 0 then begin
-            if active land lnot next <> 0 then
-              begin
-              ctx.stats.Stats.divergent_branches <-
-                ctx.stats.Stats.divergent_branches +. 1.;
-              if ctx.attr_on then Warp_access.attr_divergent ctx.acc bsite
-            end;
-            run_body cbody ctx next;
-            shfl_pre ns_step ctx next;
-            bump ctx.stats n_step;
-            if hm_step then begin
-              Warp_access.set_sites ctx.acc sts;
-              each_lane_rec wstep ctx next 0;
-              Warp_access.flush ctx.acc
-            end
-            else each_lane wstep ctx next 0;
-            let iters = iters + 1 in
-            loop_guard iters;
-            loop next iters
-          end
-        in
-        loop mask 0
-    | TF ->
-      let flo = strict_f (compile_exp env lo) in
-      let fhi = strict_f (compile_exp env hi) in
-      let fstep = strict_f (compile_exp env step) in
-      let winit ctx lane =
-        flo ctx lane;
-        Array.unsafe_set ctx.freg (base + lane) (Array.unsafe_get ctx.facc 0)
-      in
-      let cond ctx lane =
-        fhi ctx lane;
-        Float.compare (Array.unsafe_get ctx.freg (base + lane)) (Array.unsafe_get ctx.facc 0) < 0
-      in
-      let wstep ctx lane =
-        fstep ctx lane;
-        Array.unsafe_set ctx.freg (base + lane)
-          (Array.unsafe_get ctx.freg (base + lane) +. (Array.unsafe_get ctx.facc 0))
-      in
-      fun ctx mask ->
-        shfl_pre ns_lo ctx mask;
-        bump ctx.stats n_lo;
-        if hm_lo then begin
-          Warp_access.set_sites ctx.acc los;
-          each_lane_rec winit ctx mask 0;
-          Warp_access.flush ctx.acc
-        end
-        else each_lane winit ctx mask 0;
-        let rec loop active iters =
-          shfl_pre ns_cond ctx active;
-          bump ctx.stats n_cond;
-          if hm_hi then Warp_access.set_sites ctx.acc his;
-          let next = pred_mask cond hm_hi ctx active 0 0 in
-          if hm_hi then Warp_access.flush ctx.acc;
-          if next <> 0 then begin
-            if active land lnot next <> 0 then
-              begin
-              ctx.stats.Stats.divergent_branches <-
-                ctx.stats.Stats.divergent_branches +. 1.;
-              if ctx.attr_on then Warp_access.attr_divergent ctx.acc bsite
-            end;
-            run_body cbody ctx next;
-            shfl_pre ns_step ctx next;
-            bump ctx.stats n_step;
-            if hm_step then begin
-              Warp_access.set_sites ctx.acc sts;
-              each_lane_rec wstep ctx next 0;
-              Warp_access.flush ctx.acc
-            end
-            else each_lane wstep ctx next 0;
-            let iters = iters + 1 in
-            loop_guard iters;
-            loop next iters
-          end
-        in
-        loop mask 0
-    | TB -> fallback "boolean loop counter")
-  | Kir.While (c, body) ->
-    let csites, bsite, ba =
-      match a with
-      | Site.A_while (cs, b, ba) -> (cs, b, ba)
-      | _ -> (Site.no_sites, -1, List.map (fun _ -> Site.A_none) body)
-    in
-    let n_c = float_of_int (nodes c) in
-    let ns_c = float_of_int (shfl_nodes c) in
-    let hm_c = has_mem c in
-    let fc = as_bexp (compile_exp env c) in
-    let cbody = Array.of_list (List.map2 (compile_stmt env) body ba) in
-    let kname = env.k.Kir.kname in
     fun ctx mask ->
-      let rec loop active iters =
-        shfl_pre ns_c ctx active;
-        bump ctx.stats n_c;
-        if hm_c then Warp_access.set_sites ctx.acc csites;
-        let next = pred_mask fc hm_c ctx active 0 0 in
-        if hm_c then Warp_access.flush ctx.acc;
-        if next <> 0 then begin
-          if active land lnot next <> 0 then
-            begin
-              ctx.stats.Stats.divergent_branches <-
-                ctx.stats.Stats.divergent_branches +. 1.;
-              if ctx.attr_on then Warp_access.attr_divergent ctx.acc bsite
-            end;
-          run_body cbody ctx next;
-          let iters = iters + 1 in
-          if iters > max_loop_iters then
-            trap "kernel %s: loop exceeded %d iterations" kname max_loop_iters;
-          loop next iters
-        end
-      in
-      loop mask 0
+      shfl_pre ns ctx;
+      bump ctx.stats n;
+      if mask <> 0 then run ctx mask
+
+(* A write's index stages before its value — the reference order. An
+   index that itself loads the written array forces lane order. *)
+let stage_write_index env (st : vstate) i =
+  let sidx = int_row "write index" (stage_exp env st i) in
+  if reads_alias st.alias i then st.alias_dep <- true;
+  sidx
+
+let global_alias name i v =
+  if loads_global name i || loads_global name v then Alias_g name else No_alias
+
+(* Straight-line statements stage as one node list each; control flow
+   stages its headers as fragments around the compiled bodies. *)
+let rec compile_stmt env (s : Kir.stmt) (a : Site.ann) : cstmt =
+  (match s with
+   | Kir.Set _ | Kir.Store_g _ | Kir.Store_s _ | Kir.Atomic_add_g _
+   | Kir.Atomic_add_ret _ ->
+     Ppat_metrics.Metrics.incr Engine_metrics.vector_stmts
+   | Kir.If _ | Kir.For _ | Kir.While _ ->
+     Ppat_metrics.Metrics.incr Engine_metrics.vector_ctl
+   | Kir.Sync | Kir.Malloc_event -> ());
+  match s with
+  | Kir.Set (r, e) ->
+    let st = new_vstate env No_alias in
+    let base = r * env.ws in
+    (match (env.rt.(r), stage_exp env st e) with
+     | TI, VI src | TB, VB src -> vemit st (v_copy_i src base)
+     | TF, VF src -> vemit st (v_copy_f src base)
+     | _ -> reject "register/expression type mismatch");
+    vfinish st ~sites:(simple_sites a) ~n:(nodes e) ~ns:(shfl_nodes e)
+  | Kir.Store_g (name, i, v) ->
+    let st = new_vstate env (global_alias name i v) in
+    let entry = find_entry env name in
+    let sidx = stage_write_index env st i in
+    let base = entry.Memory.base and eb = entry.Memory.elem_bytes in
+    (match entry.Memory.data with
+     | Ppat_ir.Host.F arr ->
+       let sv = float_row "stored value" (stage_exp env st v) in
+       let ms = valloc_slot st Warp_access.Global in
+       vemit_write st (v_store_gf name arr base eb ms sidx sv)
+     | Ppat_ir.Host.I arr ->
+       let sv = int_row "stored value" (stage_exp env st v) in
+       let ms = valloc_slot st Warp_access.Global in
+       vemit_write st (v_store_gi name arr base eb ms sidx sv));
+    vfinish ~write_row:sidx st ~sites:(simple_sites a)
+      ~n:(1 + nodes i + nodes v) ~ns:(shfl_nodes i + shfl_nodes v)
+  | Kir.Store_s (name, i, v) ->
+    let alias =
+      if loads_shared name i || loads_shared name v then Alias_s name
+      else No_alias
+    in
+    let st = new_vstate env alias in
+    let sidx = stage_write_index env st i in
+    (match List.assoc_opt name env.smem_env with
+     | Some (Sf (slot, len)) ->
+       let sv = float_row "stored value" (stage_exp env st v) in
+       let ms = valloc_slot st Warp_access.Shared in
+       vemit_write st (v_store_sf name slot len ms sidx sv)
+     | Some (Si (slot, len)) ->
+       let sv = int_row "stored value" (stage_exp env st v) in
+       let ms = valloc_slot st Warp_access.Shared in
+       vemit_write st (v_store_si name slot len ms sidx sv)
+     | None -> reject "undeclared shared array %S" name);
+    vfinish ~write_row:sidx st ~sites:(simple_sites a)
+      ~n:(1 + nodes i + nodes v) ~ns:(shfl_nodes i + shfl_nodes v)
+  | Kir.Atomic_add_g (name, i, v) ->
+    let st = new_vstate env (global_alias name i v) in
+    let entry = find_entry env name in
+    let sidx = stage_write_index env st i in
+    (match entry.Memory.data with
+     | Ppat_ir.Host.F arr ->
+       let sv = float_row "atomic operand" (stage_exp env st v) in
+       vemit_write st (v_atomic_f name arr (-1) sidx sv)
+     | Ppat_ir.Host.I arr ->
+       let sv = int_row "atomic operand" (stage_exp env st v) in
+       vemit_write st (v_atomic_i name arr (-1) sidx sv));
+    let ops, asite = atomic_sites a in
+    vfinish ~atomic:(asite, entry) ~write_row:sidx st ~sites:ops
+      ~n:(1 + nodes i + nodes v) ~ns:(shfl_nodes i + shfl_nodes v)
+  | Kir.Atomic_add_ret { reg; buf; idx; value } ->
+    let st = new_vstate env (global_alias buf idx value) in
+    let entry = find_entry env buf in
+    let sidx = stage_write_index env st idx in
+    let ret = reg * env.ws in
+    (match (entry.Memory.data, env.rt.(reg)) with
+     | Ppat_ir.Host.F arr, TF ->
+       let sv = float_row "atomic operand" (stage_exp env st value) in
+       vemit_write st (v_atomic_f buf arr ret sidx sv)
+     | Ppat_ir.Host.I arr, TI ->
+       let sv = int_row "atomic operand" (stage_exp env st value) in
+       vemit_write st (v_atomic_i buf arr ret sidx sv)
+     | _ -> reject "atomic return register type mismatch");
+    let ops, asite = atomic_sites a in
+    vfinish ~atomic:(asite, entry) ~write_row:sidx st ~sites:ops
+      ~n:(1 + nodes idx + nodes value) ~ns:(shfl_nodes idx + shfl_nodes value)
+  | Kir.If _ | Kir.For _ | Kir.While _ -> stage_ctl env s a
   | Kir.Sync ->
     let kname = env.k.Kir.kname in
     fun ctx mask ->
@@ -2999,19 +2097,138 @@ and compile_stmt_scalar env (s : Kir.stmt) (a : Site.ann) : cstmt =
         ctx.stats.Stats.mallocs +. float_of_int (popcount mask);
       ctx.stats.Stats.warp_insts <- ctx.stats.Stats.warp_insts +. 1.
 
+(* Control flow. The branch/loop skeleton (divergence bookkeeping,
+   per-iteration instruction bumps, the iteration guard) mirrors the
+   reference engine; predicate/init/step evaluation is node-major. Each
+   fragment compiles once and is replayed every iteration: temp slots are
+   fragment-local, memory slots are re-armed per run by [vclose]'s
+   set_slots. *)
+and stage_ctl env (s : Kir.stmt) (a : Site.ann) : cstmt =
+  let kname = env.k.Kir.kname in
+  let divergent ctx bsite =
+    ctx.stats.Stats.divergent_branches <-
+      ctx.stats.Stats.divergent_branches +. 1.;
+    if ctx.attr_on then Warp_access.attr_divergent ctx.acc bsite
+  in
+  match (s, a) with
+  | Kir.If (c, t, e), Site.A_if (csites, bsite, ta, ea) ->
+    let st = new_vstate env No_alias in
+    let src = int_row "branch condition" (stage_exp env st c) in
+    let n = float_of_int (nodes c) in
+    let ns_c = float_of_int (shfl_nodes c) in
+    let run = vclose st csites in
+    let ext = v_maskof src in
+    let ct = compile_stmts env t ta in
+    let ce = compile_stmts env e ea in
+    let divergible = t <> [] || e <> [] in
+    let has_else = e <> [] in
+    fun ctx mask ->
+      shfl_pre ns_c ctx;
+      bump ctx.stats n;
+      run ctx mask;
+      let taken = ext ctx mask in
+      (* every active lane lands in exactly one branch *)
+      let fall = mask land lnot taken in
+      let bt = taken <> 0 and bf = fall <> 0 in
+      if bt && bf && divergible then divergent ctx bsite;
+      if bt then run_body ct ctx taken;
+      if bf && has_else then run_body ce ctx fall
+  | Kir.For { reg; lo; hi; step; body }, Site.A_for (los, his, sts, bsite, ba)
+    ->
+    let base = reg * env.ws in
+    (* per counter type: the init node storing the counter, the mask
+       extraction over the bound row, the step node adding to it *)
+    let init_node, bound_mask, step_node =
+      match env.rt.(reg) with
+      | TB -> reject "boolean loop counter"
+      | TI ->
+        let row what st e = strict_int_row what (stage_exp env st e) in
+        ( (fun st -> v_copy_i (row "loop start" st lo) base),
+          (fun st -> v_iltmask base (row "loop bound" st hi)),
+          fun st -> v_iaddreg base (row "loop step" st step) )
+      | TF ->
+        let row what st e = float_row what (stage_exp env st e) in
+        ( (fun st -> v_copy_f (row "loop start" st lo) base),
+          (fun st -> v_fltmask base (row "loop bound" st hi)),
+          fun st -> v_faddreg base (row "loop step" st step) )
+    in
+    let st = new_vstate env No_alias in
+    vemit st (init_node st);
+    let init = vclose st los in
+    let st = new_vstate env No_alias in
+    let cond_ext = bound_mask st in
+    let condr = vclose st his in
+    let st = new_vstate env No_alias in
+    vemit st (step_node st);
+    let stepf = vclose st sts in
+    let cbody = compile_stmts env body ba in
+    let n_lo = float_of_int (nodes lo) in
+    let n_cond = float_of_int (nodes hi + 1) in
+    let n_step = float_of_int (nodes step + 1) in
+    let ns_lo = float_of_int (shfl_nodes lo) in
+    let ns_cond = float_of_int (shfl_nodes hi) in
+    let ns_step = float_of_int (shfl_nodes step) in
+    fun ctx mask ->
+      shfl_pre ns_lo ctx;
+      bump ctx.stats n_lo;
+      init ctx mask;
+      let rec loop active iters =
+        shfl_pre ns_cond ctx;
+        bump ctx.stats n_cond;
+        condr ctx active;
+        let next = cond_ext ctx active in
+        if next <> 0 then begin
+          if active land lnot next <> 0 then divergent ctx bsite;
+          run_body cbody ctx next;
+          shfl_pre ns_step ctx;
+          bump ctx.stats n_step;
+          stepf ctx next;
+          let iters = iters + 1 in
+          if iters > max_loop_iters then
+            trap "kernel %s: loop exceeded %d iterations" kname max_loop_iters;
+          loop next iters
+        end
+      in
+      loop mask 0
+  | Kir.While (c, body), Site.A_while (csites, bsite, ba) ->
+    let st = new_vstate env No_alias in
+    let src = int_row "loop condition" (stage_exp env st c) in
+    let n_c = float_of_int (nodes c) in
+    let ns_c = float_of_int (shfl_nodes c) in
+    let run = vclose st csites in
+    let ext = v_maskof src in
+    let cbody = compile_stmts env body ba in
+    fun ctx mask ->
+      let rec loop active iters =
+        shfl_pre ns_c ctx;
+        bump ctx.stats n_c;
+        run ctx active;
+        let next = ext ctx active in
+        if next <> 0 then begin
+          if active land lnot next <> 0 then divergent ctx bsite;
+          run_body cbody ctx next;
+          let iters = iters + 1 in
+          if iters > max_loop_iters then
+            trap "kernel %s: loop exceeded %d iterations" kname max_loop_iters;
+          loop next iters
+        end
+      in
+      loop mask 0
+  | _ -> reject "site annotation shape mismatch"
+
 and compile_stmts env l anns =
   Array.of_list (List.map2 (compile_stmt env) l anns)
 
 (* ----- entry points ----- *)
 
-let compile dev mem (l : Kir.launch) : (t, string) result =
+let compile dev mem (l : Kir.launch) : t =
   let k = l.kernel in
   let ws = dev.Device.warp_size in
   let bx, by, bz = l.block in
   let gx, gy, gz = l.grid in
   try
     if ws <= 0 || ws > Sys.int_size - 2 then
-      fallback "warp size %d too wide for one mask word" ws;
+      reject "warp size %d too wide for one mask word" ws;
     let sf_sizes = ref [] and si_sizes = ref [] and senv = ref [] in
     List.iter
       (fun (d : Kir.smem_decl) ->
@@ -3054,29 +2271,29 @@ let compile dev mem (l : Kir.launch) : (t, string) result =
       }
     in
     let rt = infer_types env0 in
-    check_definite_assignment k;
+    check_definite_assignment env0 k;
     let env = { env0 with rt } in
     (* the canonical annotation pass: compiled closures arm each flush
-       group with exactly the site array the reference engine would use,
+       with exactly the site array the reference engine would use,
        so per-site attribution is engine-invariant *)
     let _, anns = Site.annotate k in
     let body = compile_stmts env k.Kir.body anns in
-    Ok
-      {
-        c_launch = l;
-        c_mem = mem;
-        c_body = body;
-        c_nregs = k.Kir.nregs;
-        c_ws = ws;
-        c_tpb = bx * by * bz;
-        c_sf_sizes = Array.of_list !sf_sizes;
-        c_si_sizes = Array.of_list !si_sizes;
-        c_ni = env.vg.max_ni;
-        c_nf = env.vg.max_nf;
-        c_iconsts = Array.of_list (List.rev env.vg.rev_ivals);
-        c_fconsts = Array.of_list (List.rev env.vg.rev_fvals);
-      }
-  with Fallback reason -> Error reason
+    {
+      c_launch = l;
+      c_mem = mem;
+      c_body = body;
+      c_nregs = k.Kir.nregs;
+      c_ws = ws;
+      c_tpb = bx * by * bz;
+      c_sf_sizes = Array.of_list !sf_sizes;
+      c_si_sizes = Array.of_list !si_sizes;
+      c_ni = env.vg.max_ni;
+      c_nf = env.vg.max_nf;
+      c_iconsts = Array.of_list (List.rev env.vg.rev_ivals);
+      c_fconsts = Array.of_list (List.rev env.vg.rev_fvals);
+    }
+  with Rejected reason ->
+    trap "kernel %s: cannot stage: %s" k.Kir.kname reason
 
 let execute ?(jobs = 1) ?attr dev (c : t) : Stats.t =
   let ws = c.c_ws in
@@ -3131,9 +2348,7 @@ let execute ?(jobs = 1) ?attr dev (c : t) : Stats.t =
             bidy = 0;
             bidz = 0;
             exists_mask = !exists;
-            cmask = 0;
             attr_on = Option.is_some attr;
-            facc = [| 0. |];
             acc;
             stats;
             sf;

@@ -13,8 +13,8 @@
     tree-walker (both price memory through {!Ppat_gpu.Warp_access}), and
     any kernel whose semantics the static analysis cannot prove —
     mixed-type arithmetic, a possibly-undefined register read, an unbound
-    name — is rejected with [Error], letting the driver fall back to the
-    reference engine, which reproduces the exact dynamic trap. *)
+    name — is rejected at staging. The reference engine stays the oracle
+    that reproduces the exact dynamic trap of such a kernel. *)
 
 type t
 (** A launch compiled against a specific device and memory image. The
@@ -22,10 +22,10 @@ type t
     the same [Memory.t] it was compiled with, before any buffer is
     reinstalled. *)
 
-val compile :
-  Ppat_gpu.Device.t -> Ppat_gpu.Memory.t -> Kir.launch -> (t, string) result
-(** Stage the launch, or explain why it must run on the reference
-    engine. *)
+val compile : Ppat_gpu.Device.t -> Ppat_gpu.Memory.t -> Kir.launch -> t
+(** Stage the launch. Raises {!Simt_error.Trap}
+    ["kernel K: cannot stage: <reason>"] when the static analysis rejects
+    the kernel. *)
 
 val execute :
   ?jobs:int ->

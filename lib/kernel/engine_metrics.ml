@@ -4,23 +4,14 @@
 
 module M = Ppat_metrics.Metrics
 
-let fallbacks = M.counter "engine.fallbacks"
-(* launches the compiled engine handed back to the reference engine *)
-
 let parallel_fallbacks = M.counter "engine.parallel_fallbacks"
 (* launches that requested jobs > 1 but ran serially (global atomics) *)
 
 let vector_stmts = M.counter "staging.vector_stmts"
-(* straight-line statements staged through the node-major vector path *)
-
-let scalar_stmts = M.counter "staging.scalar_stmts"
-(* straight-line statements that fell back to the lane-major scalar path *)
+(* straight-line statements staged by the compiled engine *)
 
 let vector_ctl = M.counter "staging.vector_ctl"
-(* control-flow constructs staged with vectorised header fragments *)
-
-let scalar_ctl = M.counter "staging.scalar_ctl"
-(* control-flow constructs staged on the scalar path *)
+(* control-flow constructs staged by the compiled engine *)
 
 let replayed_l2_lines = M.counter "pool.replayed_l2_lines"
 (* transaction lines settled against the sliced L2 at chunk-merge time *)

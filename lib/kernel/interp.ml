@@ -592,9 +592,6 @@ let default_engine () =
   | Some e -> e
   | None -> Compiled
 
-let fallbacks = ref 0
-let last_fallback : string option ref = ref None
-
 (* ----- intra-launch parallelism ----- *)
 
 let default_jobs () =
@@ -646,15 +643,10 @@ let run ?engine ?jobs ?attr (dev : Device.t) (mem : Memory.t)
   let jobs = effective_jobs ~jobs l in
   match engine with
   | Reference -> run_reference ~jobs ?attr dev mem l
-  | Compiled -> (
+  | Compiled ->
     validate dev l;
-    match
+    let c =
       Ppat_metrics.Metrics.span ~cat:"staging" "compile launch" (fun () ->
           Compile.compile dev mem l)
-    with
-    | Ok c -> Compile.execute ~jobs ?attr dev c
-    | Error reason ->
-      incr fallbacks;
-      Ppat_metrics.Metrics.incr Engine_metrics.fallbacks;
-      last_fallback := Some reason;
-      run_reference ~jobs ?attr dev mem l)
+    in
+    Compile.execute ~jobs ?attr dev c

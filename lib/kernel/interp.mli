@@ -23,27 +23,23 @@
 exception Trap of string
 (** Raised on out-of-bounds accesses, type confusion, use of undefined
     registers, divergent barriers, or runaway loops — all indicate code
-    generation bugs and fail tests loudly. An alias of
-    {!Simt_error.Trap}, which both engines raise. *)
+    generation bugs and fail tests loudly. The [Compiled] engine raises
+    ["kernel K: cannot stage: <reason>"] before running a kernel its
+    static analysis rejects (type confusion, a possibly-undefined register
+    read, an unbound name). An alias of {!Simt_error.Trap}, which both
+    engines raise. *)
 
 type engine =
   | Reference  (** the tree-walking interpreter in this module *)
   | Compiled
-    (** the closure-compiling engine in {!Compile}; falls back to
-        [Reference] per launch when compilation is rejected *)
+    (** the closure-compiling engine in {!Compile}; a launch it cannot
+        stage traps instead of running *)
 
 val default_engine : unit -> engine
 (** [Compiled], unless the [PPAT_ENGINE] environment variable is set to
     ["reference"] (or ["ref"] / ["interp"]); ["compiled"] / ["closure"]
     select the default explicitly. Any other value fails fast (via
     {!Ppat_gpu.Tuning.env}) instead of being silently ignored. *)
-
-val fallbacks : int ref
-(** Number of launches the [Compiled] engine handed to the reference
-    engine since program start (cumulative; tests reset it). *)
-
-val last_fallback : string option ref
-(** Reason of the most recent fallback. *)
 
 val default_jobs : unit -> int
 (** Worker-domain count for intra-launch parallel simulation: the

@@ -12,7 +12,7 @@ open Ppat_gpu
 module Metrics = Ppat_metrics.Metrics
 module Lru = Ppat_metrics.Lru
 
-type exec = Closure of Compile.t | Fallback of string
+type exec = Closure of Compile.t | Reference
 
 type 'm slaunch = {
   launch : Kir.launch;
@@ -40,7 +40,7 @@ type 'm plan = {
 
 (* ----- staging ----- *)
 
-type kcache = (Compile.t, string) result Lru.t
+type kcache = Compile.t Lru.t
 
 let kcache ?(capacity = 128) () : kcache = Lru.create ~capacity "kernel_stage"
 
@@ -50,7 +50,7 @@ let launch_digest (l : Kir.launch) =
        (Marshal.to_string (l.Kir.kernel, l.Kir.grid, l.Kir.block, l.Kir.kparams) []))
 
 let stage_launch ?cache dev mem (l : Kir.launch) ~meta =
-  let compiled =
+  let c =
     let doit () =
       Metrics.span ~cat:"staging" "compile launch" (fun () ->
           Compile.compile dev mem l)
@@ -63,22 +63,17 @@ let stage_launch ?cache dev mem (l : Kir.launch) ~meta =
       let key = Printf.sprintf "%s@%d" (launch_digest l) (Memory.epoch mem) in
       snd (Lru.find_or_add c key doit)
   in
-  let exec =
-    match compiled with
-    | Ok c -> Closure c
-    | Error reason ->
-      (* same accounting a cold Interp.run would do on rejection *)
-      incr Interp.fallbacks;
-      Metrics.incr Engine_metrics.fallbacks;
-      Interp.last_fallback := Some reason;
-      Fallback reason
-  in
-  { launch = l; exec; serial_only = (Kir.features l.Kir.kernel).Kir.f_global_atomics; meta }
+  {
+    launch = l;
+    exec = Closure c;
+    serial_only = (Kir.features l.Kir.kernel).Kir.f_global_atomics;
+    meta;
+  }
 
 let reference_slaunch (l : Kir.launch) ~meta =
   {
     launch = l;
-    exec = Fallback "reference engine requested";
+    exec = Reference;
     serial_only = (Kir.features l.Kir.kernel).Kir.f_global_atomics;
     meta;
   }
@@ -87,7 +82,7 @@ let reference_slaunch (l : Kir.launch) ~meta =
 
 let run_slaunch ?(jobs = 1) ?attr dev mem (sl : _ slaunch) =
   match sl.exec with
-  | Fallback _ ->
+  | Reference ->
     (* Interp.run applies the serial gate itself *)
     Interp.run ~engine:Interp.Reference ~jobs ?attr dev mem sl.launch
   | Closure c ->

