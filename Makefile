@@ -29,19 +29,22 @@ engines: build
 # one cheap end-to-end bench invocation per engine (no JSON, tiny subset is
 # not supported, so reuse the profile path which runs a real simulation);
 # lud and gaussian store to arrays they also load, so their runs validate
-# the compiled engine's aliasing rule against the CPU oracle. Then a
-# malformed or out-of-range numeric bench flag must exit 2, not crash.
+# the compiled engine's aliasing rule against the CPU oracle, and the lud
+# run must report the oracle's own cost. Then a malformed or out-of-range
+# numeric bench flag must exit 2, not crash.
 bench-smoke: build
 	dune exec bin/ppat.exe -- run sum_rows --engine compiled > /dev/null
 	dune exec bin/ppat.exe -- run sum_rows --engine reference > /dev/null
-	dune exec bin/ppat.exe -- run lud --engine compiled > /dev/null
+	@out=$$(dune exec bin/ppat.exe -- run lud --engine compiled) || exit 1; \
+	echo "$$out" | grep -Eq '^CPU oracle: [0-9.]+ s, [0-9]+ ops, [0-9]+ bytes$$' \
+	  || { echo "bench-smoke: ppat run lud printed no CPU oracle line"; exit 1; }
 	dune exec bin/ppat.exe -- run gaussian --engine compiled > /dev/null
 	@for a in "-j abc" "-j 0" "--best-of x" "--best-of 0" "--sim-jobs q" \
 	  "--serve 1e" "--zipf x"; do \
 	  dune exec bench/main.exe -- $$a > /dev/null 2>&1; st=$$?; \
 	  test $$st -eq 2 || { echo "bench-smoke: '$$a' exited $$st, want 2"; exit 1; }; \
 	done
-	@echo "bench-smoke: both engines validate sum_rows, compiled validates lud and gaussian; bad bench flags exit 2"
+	@echo "bench-smoke: both engines validate sum_rows, compiled validates lud and gaussian, lud reports the CPU oracle; bad bench flags exit 2"
 
 # tier-1 under both cost-model defaults (mapping-specific assertions pin
 # Soft explicitly, everything else must hold under any model), plus a

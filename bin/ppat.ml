@@ -69,8 +69,12 @@ let cmd_run name strat engine model sim_jobs =
   let app = find_app name in
   let data = A.App.input_data app in
   Format.printf "running %s (CPU oracle first)...@." app.A.App.name;
+  let t0 = Unix.gettimeofday () in
   let cpu = Ppat_harness.Runner.run_cpu ~params:app.params app.prog data in
+  let oracle_wall = Unix.gettimeofday () -. t0 in
   Format.printf "CPU model: %.4g s@." cpu.cpu_seconds;
+  Format.printf "CPU oracle: %.3f s, %.0f ops, %.0f bytes@." oracle_wall
+    cpu.counts.ops cpu.counts.bytes;
   let r =
     Ppat_harness.Runner.run_gpu ~engine ~sim_jobs ~params:app.params ~model
       dev app.prog strat data

@@ -23,5 +23,14 @@ val run :
     ordered by key segment and, within a segment, by input index — the
     canonical orders against which unordered GPU results are normalised.
 
-    @raise Failure on semantic errors (out-of-bounds access, undefined
-    variable, type confusion). *)
+    The program is resolved once before it runs: names become slots and
+    every expression gets a static type. So a type error (int + float, a
+    bool compared with an int, a variable assigned a different type than
+    it was bound with) or an unbound name fails before anything executes,
+    even on a branch that would never run. Out-of-bounds accesses,
+    division by zero, out-of-range group keys and runaway loops fail
+    when they happen.
+
+    @raise Failure on semantic errors, with the message
+    ["oracle: <path>: <reason>"], where [<path>] is the label path of the
+    failing pattern (e.g. ["p0/p3"]) or ["host"] for host steps. *)

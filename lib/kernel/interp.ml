@@ -329,6 +329,15 @@ let run_reference ?(jobs = 1) ?attr (dev : Device.t) (mem : Memory.t)
       Warp_access.flush acc
     in
     let any mask = Array.exists (fun x -> x) mask in
+    (* [group] that assigns [f]'s per-lane result to register [r]: every
+       active lane is evaluated before any commits, because a shuffle or
+       vote in [f] may read [r] at another lane and must see its old
+       value *)
+    let assign sites mask r f =
+      let vals = Array.make ws VU in
+      group sites mask (fun lane counting -> vals.(lane) <- f lane counting);
+      Array.iteri (fun lane m -> if m then regs.(lane).(r) <- vals.(lane)) mask
+    in
     let ann_mismatch () =
       trap "kernel %s: internal error: site annotation shape mismatch"
         k.kname
@@ -338,8 +347,7 @@ let run_reference ?(jobs = 1) ?attr (dev : Device.t) (mem : Memory.t)
     and stmt mask (s : Kir.stmt) (a : Site.ann) =
       match s, a with
       | Kir.Set (r, e), Site.A_simple sites ->
-        group sites mask (fun lane counting ->
-            regs.(lane).(r) <- eval lane counting e)
+        assign sites mask r (fun lane counting -> eval lane counting e)
       | Kir.Store_g (name, i, e), Site.A_simple sites ->
         let entry = Memory.find mem name in
         group sites mask (fun lane counting ->
@@ -376,20 +384,20 @@ let run_reference ?(jobs = 1) ?attr (dev : Device.t) (mem : Memory.t)
         ->
         let entry = Memory.find mem buf in
         Warp_access.atomic_begin acc;
-        group ops mask (fun lane counting ->
+        assign ops mask reg (fun lane counting ->
             if counting then count_inst ();
             let i = as_int (eval lane counting idx) in
             let v = eval lane counting value in
             Warp_access.atomic_record acc i;
             let old = read_buf entry buf i in
-            regs.(lane).(reg) <- old;
-            match old, v with
-            | VF o, VF x -> write_buf entry buf i (VF (o +. x))
-            | VI o, (VI _ | VB _) ->
-              write_buf entry buf i (VI (o + as_int v))
-            | a, b ->
-              trap "atomicAdd type mismatch on %s: %s += %s" buf (v_name a)
-                (v_name b));
+            (match old, v with
+             | VF o, VF x -> write_buf entry buf i (VF (o +. x))
+             | VI o, (VI _ | VB _) ->
+               write_buf entry buf i (VI (o + as_int v))
+             | a, b ->
+               trap "atomicAdd type mismatch on %s: %s += %s" buf (v_name a)
+                 (v_name b));
+            old);
         Warp_access.atomic_commit acc asite entry
       | Kir.If (c, t, e), Site.A_if (csites, bsite, ta, ea) ->
         let taken = Array.make ws false in
@@ -404,8 +412,7 @@ let run_reference ?(jobs = 1) ?attr (dev : Device.t) (mem : Memory.t)
         if bf && e <> [] then exec fallthrough e ea
       | Kir.For { reg; lo; hi; step; body }, Site.A_for (los, his, sts, bsite, ba)
         ->
-        group los mask (fun lane counting ->
-            regs.(lane).(reg) <- eval lane counting lo);
+        assign los mask reg (fun lane counting -> eval lane counting lo);
         let active = Array.copy mask in
         let iters = ref 0 in
         let continue_ = ref true in

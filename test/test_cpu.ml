@@ -78,7 +78,10 @@ let test_filter () =
       ]
       [ Pat.Launch { bind = Some "out"; pat = top } ]
   in
-  let data, _ = run p [] in
+  let data, c = run p [] in
+  (* two ops per predicate, one per kept yield; six 8-byte writes *)
+  Alcotest.(check (float 0.)) "filter ops" 25. c.ops;
+  Alcotest.(check (float 0.)) "filter bytes" 48. c.bytes;
   Alcotest.(check int) "count" 5 (ibuf data "out_count").(0);
   Alcotest.(check (array (float 0.))) "kept in order"
     [| 0.; 2.; 4.; 6.; 8.; 0.; 0.; 0.; 0.; 0. |]
@@ -101,7 +104,10 @@ let test_group_by () =
       ]
       [ Pat.Launch { bind = Some "out"; pat = top } ]
   in
-  let data, _ = run p [ ("keys", Host.I [| 2; 0; 1; 0; 2; 0 |]) ] in
+  let data, c = run p [ ("keys", Host.I [| 2; 0; 1; 0; 2; 0 |]) ] in
+  (* key read and value per index; six key reads, twelve writes *)
+  Alcotest.(check (float 0.)) "group_by ops" 12. c.ops;
+  Alcotest.(check (float 0.)) "group_by bytes" 144. c.bytes;
   Alcotest.(check (array int)) "counts" [| 3; 1; 2 |] (ibuf data "out_counts");
   Alcotest.(check (array int)) "offsets" [| 0; 3; 4 |] (ibuf data "out_offsets");
   Alcotest.(check (array (float 0.))) "grouped values"
@@ -196,19 +202,173 @@ let test_counts () =
   Alcotest.(check bool) "bytes counted" true (counts.I.bytes >= 512. *. 8.)
 
 let test_errors () =
-  let expect name p data =
+  (* every failure is a [Failure] whose message names the label path of
+     the failing pattern *)
+  let expect name ?(where = "") p data =
     match run p data with
     | _ -> Alcotest.failf "%s: expected failure" name
-    | exception Failure _ -> ()
+    | exception Failure msg ->
+      let want = "oracle: " ^ where in
+      if not (Astring_like.contains msg want) then
+        Alcotest.failf "%s: message %S does not name %S" name msg want
   in
   let b = Builder.create () in
+  let open Exp.Infix in
   let oob =
     Builder.foreach b ~size:(Pat.Sconst 4) (fun i0 ->
-        [ Pat.Store ("out", [ Exp.Infix.(i0 + i 100) ], Exp.Float 0.) ])
+        [ Pat.Store ("out", [ i0 + i 100 ], Exp.Float 0.) ])
   in
-  expect "out of bounds"
+  expect "out of bounds" ~where:"p0: write out of bounds: out[100]"
     (prog [ fout 4 ] [ Pat.Launch { bind = None; pat = oob } ])
+    [];
+  (* an outer Foreach "outer" around one inner pattern built by [inner] *)
+  let nested ?(bufs = [ fout 4 ]) inner =
+    let top =
+      Builder.foreach b ~label:"outer" ~size:(Pat.Sconst 4) (fun _ ->
+          [ inner () ])
+    in
+    prog bufs [ Pat.Launch { bind = None; pat = top } ]
+  in
+  let foreach body =
+    Builder.nest (Builder.foreach b ~label:"inner" ~size:(Pat.Sconst 2) body)
+  in
+  expect "int + float" ~where:"outer/inner: binop + on int and float"
+    (nested (fun () -> foreach (fun _ -> [ Pat.Let ("x", i 1 + f 2.) ])))
+    [];
+  expect "unbound variable" ~where:"outer/inner: unbound variable \"nope\""
+    (nested (fun () ->
+         foreach (fun i0 -> [ Pat.Store ("out", [ i0 ], v "nope") ])))
+    [];
+  expect "local read out of bounds"
+    ~where:"outer/use: local read out of bounds: tmp[10]"
+    (nested (fun () ->
+         let tmp =
+           Builder.map b ~label:"tmp" ~size:(Pat.Sconst 4) (fun ix ->
+               ([], i2f ix))
+         in
+         let use =
+           Builder.foreach b ~label:"use" ~size:(Pat.Sconst 1) (fun _ ->
+               [
+                 Pat.Nested { bind = Some "tmp"; pat = tmp };
+                 Pat.Store ("out", [ i 0 ], read "tmp" [ i 10 ]);
+               ])
+         in
+         Builder.nest use))
+    [];
+  expect "group key out of range"
+    ~where:"outer/groups: group key 5 out of range [0,3)"
+    (nested
+       ~bufs:
+         [
+           fout 4;
+           Pat.buffer "g" Ty.F64 [ Ty.Const 2 ] Pat.Output;
+           Pat.buffer "g_counts" Ty.I32 [ Ty.Const 3 ] Pat.Output;
+           Pat.buffer "g_offsets" Ty.I32 [ Ty.Const 3 ] Pat.Output;
+         ]
+       (fun () ->
+         Pat.Nested
+           {
+             bind = Some "g";
+             pat =
+               Builder.group_by b ~label:"groups" ~size:(Pat.Sconst 2)
+                 ~num_keys:(Ty.Const 3)
+                 ~key:(fun _ -> i 5)
+                 (fun ix -> i2f ix);
+           }))
+    [];
+  expect "float assigned to an int variable"
+    ~where:"outer/inner: variable \"n\" is int, assigned float"
+    (nested (fun () ->
+         foreach (fun _ -> [ Pat.Let ("n", i 0); Pat.Assign ("n", f 1.) ])))
     []
+
+(* Golden oracle table: for every registry app at a small size, the exact
+   operation and byte counts (which feed Fig 14's CPU cost model) and a
+   digest of every output buffer, recorded from the original tree-walking
+   oracle. The resolved oracle must reproduce each row bit for bit. *)
+let small_apps : (string * (unit -> Ppat_apps.App.t)) list =
+  let open Ppat_apps in
+  [
+    ("sum_rows", fun () -> Sum_rows_cols.sum_rows ~r:16 ~c:24 ());
+    ("sum_cols", fun () -> Sum_rows_cols.sum_cols ~r:16 ~c:24 ());
+    ("sum_weighted_rows", fun () -> Sum_rows_cols.sum_weighted_rows ~r:16 ~c:24 ());
+    ("sum_weighted_cols", fun () -> Sum_rows_cols.sum_weighted_cols ~r:16 ~c:24 ());
+    ("nearest_neighbor", fun () -> Nearest_neighbor.app ~n:100 ());
+    ("gaussian", fun () -> Gaussian.app ~n:12 Gaussian.R);
+    ("gaussian_c", fun () -> Gaussian.app ~n:12 Gaussian.C);
+    ("bfs", fun () -> Bfs.app ~nodes:64 ~avg_degree:4 ());
+    ("hotspot", fun () -> Hotspot.app ~n:16 ~steps:2 Hotspot.R);
+    ("hotspot_c", fun () -> Hotspot.app ~n:16 ~steps:2 Hotspot.C);
+    ("mandelbrot", fun () -> Mandelbrot.app ~h:12 ~w:16 ~max_iter:8 Mandelbrot.R);
+    ("mandelbrot_c", fun () -> Mandelbrot.app ~h:12 ~w:16 ~max_iter:8 Mandelbrot.C);
+    ("srad", fun () -> Srad.app ~n:16 ~iters:2 Srad.R);
+    ("srad_c", fun () -> Srad.app ~n:16 ~iters:2 Srad.C);
+    ("pathfinder", fun () -> Pathfinder.app ~rows:6 ~cols:40 ());
+    ("lud", fun () -> Lud.app ~n:12 Lud.R);
+    ("pagerank", fun () -> Pagerank.app ~nodes:64 ~avg_degree:4 ~iters:2 ());
+    ("qpscd", fun () -> Qpscd.app ~samples:16 ~dim:32 ());
+    ("msm_cluster", fun () -> Msm_cluster.app ~frames:64 ~centers:4 ~dims:8 ());
+    ("naive_bayes", fun () -> Naive_bayes.app ~docs:32 ~words:16 ());
+    ("gemm", fun () -> Gemm.app ~m:8 ~n:12 ~k:10 ());
+    ("fig8", fun () -> Experiments.fig8_app ~rows:16 ~cols:24 ());
+  ]
+
+(* app, ops, bytes, MD5 over every output buffer's name and bit pattern *)
+let golden =
+  [
+    ("sum_rows", 768., 3200., "e2116da30c94a49da16bcd6d5c5b86da");
+    ("sum_cols", 768., 3264., "e891c3566a415a42f5ce02a8024b670b");
+    ("sum_weighted_rows", 1920., 6272., "a2e1fcd72e057f9656a2218ef1b50a38");
+    ("sum_weighted_cols", 1920., 6336., "6e63782385ac9d61d6d6ca244b2e286e");
+    ("nearest_neighbor", 800., 2400., "332860a03d4280871eb7de62c086a455");
+    ("gaussian", 8470., 22000., "60fdb59727da2c0a3ef889193de2305c");
+    ("gaussian_c", 8547., 22000., "60fdb59727da2c0a3ef889193de2305c");
+    ("bfs", 403., 2160., "3e86110ba4322dc9d96ca3722e430a96");
+    ("hotspot", 17920., 28672., "d8333f30b648f5ba2d4e44d359fb150e");
+    ("hotspot_c", 17920., 28672., "d8333f30b648f5ba2d4e44d359fb150e");
+    ("mandelbrot", 16666., 1536., "8fbb576d07c6913c8707d7b4018d18b4");
+    ("mandelbrot_c", 16666., 1536., "8fbb576d07c6913c8707d7b4018d18b4");
+    ("srad", 84992., 86048., "31ce38229fe6451b952451cfea0c74b5");
+    ("srad_c", 84992., 86048., "31ce38229fe6451b952451cfea0c74b5");
+    ("pathfinder", 2640., 9600., "c0b775600e63d2c1d27006c3798a445c");
+    ("lud", 9240., 17776., "9f2dc683645768ad3da0530105289852");
+    ("pagerank", 3310., 11200., "d64cddbc1e086cf8fc71b0b7c3a11fa7");
+    ("qpscd", 2208., 8832., "c412aa6916c6381a907c8ed29af46566");
+    ("msm_cluster", 10304., 33280., "a419f64b1205daffda46350e7e7dfaea");
+    ("naive_bayes", 5696., 17696., "012f5957b20d7576aef668be99b131b5");
+    ("gemm", 3840., 16128., "2d8e99883c1f092f4e4814ab7f2e2736");
+    ("fig8", 1152., 9216., "52d385edc80cf6788055bc0cc24085bb");
+  ]
+
+let digest data =
+  let b = Buffer.create 4096 in
+  List.iter
+    (fun (name, buf) ->
+      Buffer.add_string b name;
+      match buf with
+      | Host.F a ->
+        Buffer.add_char b 'F';
+        Array.iter (fun x -> Buffer.add_int64_le b (Int64.bits_of_float x)) a
+      | Host.I a ->
+        Buffer.add_char b 'I';
+        Array.iter (fun x -> Buffer.add_int64_le b (Int64.of_int x)) a)
+    data;
+  Digest.to_hex (Digest.string (Buffer.contents b))
+
+let test_golden () =
+  Alcotest.(check (list string)) "one row per registry app"
+    Ppat_apps.Registry.names (List.map fst small_apps);
+  List.iter2
+    (fun (name, mk) (gname, ops, bytes, dg) ->
+      Alcotest.(check string) "row order" gname name;
+      let app : Ppat_apps.App.t = mk () in
+      let out, (c : I.counts) =
+        run ~params:app.params app.prog (Ppat_apps.App.input_data app)
+      in
+      Alcotest.(check (float 0.)) (name ^ " ops") ops c.ops;
+      Alcotest.(check (float 0.)) (name ^ " bytes") bytes c.bytes;
+      Alcotest.(check string) (name ^ " outputs") dg (digest out))
+    small_apps golden
 
 let tests =
   [
@@ -222,4 +382,5 @@ let tests =
     Alcotest.test_case "while_flag" `Quick test_while_flag;
     Alcotest.test_case "op counting" `Quick test_counts;
     Alcotest.test_case "errors" `Quick test_errors;
+    Alcotest.test_case "golden oracle table" `Quick test_golden;
   ]

@@ -388,6 +388,53 @@ let test_shared_aliasing () =
   Alcotest.(check (array (float 0.))) "prefix buffer" or_ oc;
   Alcotest.(check (array (float 0.))) "final buffer" pr pc
 
+(* a shuffle that reads the register its statement assigns (a [Set], a
+   [For]'s initial value, an [Atomic_add_ret]'s index): every lane must
+   see the other lanes' old values (CUDA semantics), so the reference
+   engine evaluates all active lanes before it commits any *)
+let test_shuffle_reads_target () =
+  let tid = Kir.Tid Kir.X and r = Kir.Reg 0 in
+  let check name body expected =
+    let k =
+      {
+        (kernel ~nregs:1 name
+           ((Kir.Set (0, tid) :: body) @ [ Kir.Store_g ("o", tid, r) ]))
+        with
+        Kir.reg_types = [| Ty.I32 |];
+      }
+    in
+    let go engine =
+      let mem = Memory.create () in
+      iarr mem "o" (Array.make 32 (-1));
+      iarr mem "c" (Array.init 32 (fun i -> 100 * i));
+      ignore (run ~engine mem k);
+      read_i mem "o"
+    in
+    let rf = go Interp.Reference and c = go Interp.Compiled in
+    Alcotest.(check (array int))
+      (name ^ ": reference") (Array.init 32 expected) rf;
+    Alcotest.(check (array int)) (name ^ ": engines agree") rf c
+  in
+  let set e = [ Kir.Set (0, e) ] in
+  check "shfl_xor" (set (Kir.Shfl_xor (r, ik 1))) (fun l -> l lxor 1);
+  check "shfl_down" (set (Kir.Shfl_down (r, ik 1))) (fun l -> min (l + 1) 31);
+  check "shfl_idx"
+    (set (Kir.Shfl_idx (r, Kir.Bin (Exp.Sub, ik 31, tid))))
+    (fun l -> 31 - l);
+  check "for from shfl_xor"
+    [
+      Kir.For
+        { reg = 0; lo = Kir.Shfl_xor (r, ik 1); hi = ik 1000; step = ik 1000;
+          body = [ Kir.Store_g ("o", tid, r) ] };
+    ]
+    (fun l -> 1000 + (l lxor 1));
+  check "atomic_add_ret at shfl_xor"
+    [
+      Kir.Atomic_add_ret
+        { reg = 0; buf = "c"; idx = Kir.Shfl_xor (r, ik 1); value = ik 1 };
+    ]
+    (fun l -> 100 * (l lxor 1))
+
 let tests =
   [
     Alcotest.test_case "copy kernel with guard" `Quick test_copy_kernel;
@@ -405,4 +452,6 @@ let tests =
     Alcotest.test_case "staging trap" `Quick test_stage_trap;
     Alcotest.test_case "shared aliasing stores" `Quick test_shared_aliasing;
     Alcotest.test_case "partial warps" `Quick test_partial_warp;
+    Alcotest.test_case "shuffle reads its own target" `Quick
+      test_shuffle_reads_target;
   ]
